@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 
 class FamilyKind(str, Enum):
     """The two detection roles a displayed pattern can play."""
@@ -114,9 +116,59 @@ class BoardCell:
     size: float
 
 
-def _cells_overlap(a: BoardCell, b: BoardCell) -> bool:
-    half = (a.size + b.size) / 2.0
-    return abs(a.center_x - b.center_x) < half - 1e-12 and abs(a.center_y - b.center_y) < half - 1e-12
+# Corner offsets of a cell in units of its half size, counter-clockwise.
+_CORNER_X = np.array([-1.0, 1.0, 1.0, -1.0])
+_CORNER_Y = np.array([-1.0, -1.0, 1.0, 1.0])
+
+
+def board_corners(cells: np.ndarray) -> np.ndarray:
+    """Marker-frame corners of cells given as rows (center_x, center_y, size).
+
+    Returns a (3, 4n) array whose rows are x, y and z (all 0), with four
+    consecutive columns per cell.
+    """
+    half = cells[:, 2:] / 2.0
+    corners = np.zeros((3, len(cells), 4))
+    corners[0] = cells[:, :1] + _CORNER_X * half
+    corners[1] = cells[:, 1:2] + _CORNER_Y * half
+    return corners.reshape(3, -1)
+
+
+def _first_overlap(cells: np.ndarray) -> tuple[int, int] | None:
+    """First overlapping pair (i, j), i < j, in board order, or None.
+
+    Two cells overlap when their centers are closer than the mean of their
+    sizes, less 1e-12, along both axes. A sweep over the cells sorted by x
+    compares each cell with the one k places further on, for k = 1, 2, ...,
+    and drops a cell once that x distance reaches the largest cell size:
+    sorted x distances only grow with k, so no later partner can overlap.
+    Memory stays O(n).
+    """
+    n = len(cells)
+    if n < 2:
+        return None
+    order = np.argsort(cells[:, 0], kind="stable")
+    x, y, size = cells[order].T
+    reach = np.fmax.reduce(size) - 1e-12
+    best = None
+    left = np.arange(n - 1)
+    k = 1
+    while left.size:
+        left = left[left + k < n]
+        right = left + k
+        dx = x[right] - x[left]
+        near = dx < reach
+        left, right, dx = left[near], right[near], dx[near]
+        half = (size[left] + size[right]) / 2.0 - 1e-12
+        hit = (dx < half) & (np.abs(y[left] - y[right]) < half)
+        if hit.any():
+            a, b = order[left[hit]], order[right[hit]]
+            first, second = np.minimum(a, b), np.maximum(a, b)
+            i = int(first.min())
+            pair = (i, int(second[first == i].min()))
+            best = pair if best is None else min(best, pair)
+        k += 1
+    return best
 
 
 @dataclass(frozen=True)
@@ -143,15 +195,20 @@ class MarkerConfig:
             )
         if not self.board:
             raise ValueError("board must contain at least one cell")
-        cells = list(self.board)
-        for i, a in enumerate(cells):
-            for b in cells[i + 1 :]:
-                if _cells_overlap(a, b):
-                    raise ValueError(
-                        f"board cells overlap: ({a.center_x}, {a.center_y}) and "
-                        f"({b.center_x}, {b.center_y}) with sizes {a.size}, {b.size}"
-                    )
-        object.__setattr__(self, "board", tuple(cells))
+        board = tuple(self.board)
+        cells = np.array([(c.center_x, c.center_y, c.size) for c in board], dtype=float)
+        pair = _first_overlap(cells)
+        if pair is not None:
+            a, b = board[pair[0]], board[pair[1]]
+            raise ValueError(
+                f"board cells overlap: ({a.center_x}, {a.center_y}) and "
+                f"({b.center_x}, {b.center_y}) with sizes {a.size}, {b.size}"
+            )
+        corners = board_corners(cells)
+        corners.flags.writeable = False
+        object.__setattr__(self, "board", board)
+        # Not a field: equality, hashing and repr see only the board itself.
+        object.__setattr__(self, "_corners", corners)
 
     @classmethod
     def single(

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, OutOfView, Pose, invert, project_point, rot_z
-from .marker import BoardCell, MarkerConfig
+from .geometry import CameraIntrinsics, Pose, invert, rot_z
+from .marker import MarkerConfig, board_corners
 
 
 @dataclass(frozen=True)
@@ -70,34 +70,32 @@ def strip_yaw(rotation_marker_to_camera: np.ndarray) -> np.ndarray:
     return rotation_marker_to_camera @ rot_z(relative_yaw(rotation_marker_to_camera))
 
 
-def _cell_corners(cell) -> np.ndarray:
-    h = cell.size / 2.0
-    return np.array(
-        [
-            [cell.center_x - h, cell.center_y - h, 0.0],
-            [cell.center_x + h, cell.center_y - h, 0.0],
-            [cell.center_x + h, cell.center_y + h, 0.0],
-            [cell.center_x - h, cell.center_y + h, 0.0],
-        ]
-    )
+# Each corner's neighbour along the cell outline.
+_NEXT_CORNER = np.array([1, 2, 3, 0])
 
 
-def _project_cell(true_pose: Pose, cell, k: CameraIntrinsics):
-    """Project one cell; returns (fully_visible, footprint_px or None)."""
-    corners_cam = (true_pose.rotation @ _cell_corners(cell).T).T + true_pose.translation
-    if np.any(corners_cam[:, 2] <= 0.0):
-        return False, None
-    pixels = []
-    visible = True
-    for corner in corners_cam:
-        res = project_point(corner, k)
-        if isinstance(res, OutOfView):
-            visible = False
-        # Footprint is a size measure, so keep the unclamped pinhole pixel.
-        pixels.append((k.fx * corner[0] / corner[2] + k.cx, k.fy * corner[1] / corner[2] + k.cy))
-    px = np.asarray(pixels)
-    edges = np.linalg.norm(px - np.roll(px, -1, axis=0), axis=1)
-    return visible, float(edges.max())
+def _project_board(true_pose: Pose, corners: np.ndarray, k: CameraIntrinsics):
+    """Project every cell of a board, given as its corner array
+    (``marker.board_corners``).
+
+    Returns (visible, footprint_px) for the cells with all four corners in
+    front of the camera; cells with any corner at or behind it are left out.
+    A cell is visible when every corner lands inside the image, and its
+    footprint is its longest projected edge in pixels.
+    """
+    cam = true_pose.rotation @ corners + true_pose.translation[:, None]
+    x, y, z = cam.reshape(3, -1, 4)
+    behind = z <= 0.0
+    if behind.any():
+        front = ~behind.any(axis=1)
+        x, y, z = x[front], y[front], z[front]
+    # Footprint is a size measure, so keep the unclamped pinhole pixel.
+    u = k.fx * x / z + k.cx
+    v = k.fy * y / z + k.cy
+    outside = (u < 0.0) | (u > k.width) | (v < 0.0) | (v > k.height)
+    du = u - u[:, _NEXT_CORNER]
+    dv = v - v[:, _NEXT_CORNER]
+    return ~outside.any(axis=1), np.sqrt(du * du + dv * dv).max(axis=1)
 
 
 def pixel_footprint(true_pose: Pose, marker_size: float, k: CameraIntrinsics) -> float:
@@ -112,10 +110,11 @@ def pixel_footprint(true_pose: Pose, marker_size: float, k: CameraIntrinsics) ->
         if true_pose.translation[2] <= 0.0:
             raise ValueError("marker is behind the camera")
         return 0.0
-    _, footprint = _project_cell(true_pose, BoardCell(0.0, 0.0, marker_size), k)
-    if footprint is None:
+    corners = board_corners(np.array([[0.0, 0.0, marker_size]]))
+    _, footprint = _project_board(true_pose, corners, k)
+    if not footprint.size:
         raise ValueError("marker is behind the camera")
-    return footprint
+    return float(footprint[0])
 
 
 def simulate_detection(
@@ -143,16 +142,10 @@ def simulate_detection(
     if distance > family.max_detection_range:
         return NoDetection("out-of-range")
 
-    footprints = []
-    usable = 0
-    for cell in displayed.board:
-        visible, footprint = _project_cell(true_pose, cell, detector.intrinsics)
-        footprints.append(footprint)
-        if visible and footprint is not None and footprint >= family.min_pixel_footprint:
-            usable += 1
+    visible, footprints = _project_board(true_pose, displayed._corners, detector.intrinsics)
+    usable = int(np.count_nonzero(visible & (footprints >= family.min_pixel_footprint)))
     if usable == 0:
-        numeric = [f for f in footprints if f is not None]
-        if numeric and all(f < family.min_pixel_footprint for f in numeric):
+        if footprints.size and (footprints < family.min_pixel_footprint).all():
             return NoDetection("too-small")
         return NoDetection("out-of-view")
 

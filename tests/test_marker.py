@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -156,13 +157,18 @@ class TestBoardLayout:
         for c in cells:
             assert abs(c.center_x) + c.size / 2 <= w / 2 + 1e-9
             assert abs(c.center_y) + c.size / 2 <= h / 2 + 1e-9
-        for i, a in enumerate(cells):
-            for b in cells[i + 1 :]:
-                half = (a.size + b.size) / 2
-                assert (
-                    abs(a.center_x - b.center_x) >= half - 1e-9
-                    or abs(a.center_y - b.center_y) >= half - 1e-9
-                )
+        x, y, size = np.array([(c.center_x, c.center_y, c.size) for c in cells]).T
+        # Every pair, in row blocks of at most ~2**20 pairs to bound memory.
+        block = max(1, 2**20 // len(cells))
+        for start in range(0, len(cells), block):
+            rows = slice(start, start + block)
+            half = (size[rows, None] + size) / 2
+            apart = (np.abs(x[rows, None] - x) >= half - 1e-9) | (
+                np.abs(y[rows, None] - y) >= half - 1e-9
+            )
+            own = np.arange(apart.shape[0])
+            apart[own, start + own] = True
+            assert apart.all()
 
 
 class TestTypes:
@@ -206,3 +212,99 @@ class TestTypes:
                 board=(BoardCell(0.0, 0.0, 0.05), BoardCell(0.01, 0.0, 0.05)),
                 screen_limit=0.15,
             )
+
+
+def board_config(cells):
+    return MarkerConfig(
+        config_id=0,
+        family=MarkerFamily.full_pose_default(),
+        marker_size=0.1,
+        board=tuple(cells),
+        screen_limit=2.0,
+    )
+
+
+def reference_overlap_error(cells):
+    """The pairwise overlap check, one Python comparison per pair."""
+    for i, a in enumerate(cells):
+        for b in cells[i + 1 :]:
+            half = (a.size + b.size) / 2.0
+            if (
+                abs(a.center_x - b.center_x) < half - 1e-12
+                and abs(a.center_y - b.center_y) < half - 1e-12
+            ):
+                return (
+                    f"board cells overlap: ({a.center_x}, {a.center_y}) and "
+                    f"({b.center_x}, {b.center_y}) with sizes {a.size}, {b.size}"
+                )
+    return None
+
+
+class TestBoardOverlap:
+    def test_first_pair_in_board_order_is_named(self):
+        # Sorted by x, the (0.0, 0.01) pair comes first; in board order the
+        # (0.5, 0.53) pair does.
+        cells = [
+            BoardCell(0.5, 0.0, 0.1),
+            BoardCell(0.0, 0.0, 0.1),
+            BoardCell(0.52, 0.2, 0.1),
+            BoardCell(0.53, 0.0, 0.1),
+            BoardCell(0.01, 0.0, 0.1),
+        ]
+        with pytest.raises(ValueError) as err:
+            board_config(cells)
+        assert str(err.value) == (
+            "board cells overlap: (0.5, 0.0) and (0.53, 0.0) with sizes 0.1, 0.1"
+        )
+
+    def test_abutting_cells_accepted(self):
+        cells = [
+            BoardCell(0.0, 0.0, 0.1),
+            BoardCell(0.1, 0.0, 0.1),
+            BoardCell(0.1, 0.1, 0.1),
+            BoardCell(0.0, -0.1, 0.1),
+        ]
+        assert board_config(cells).n_cells == 4
+        grid = board_layout(Screen(0.3, 0.2), 0.01, gap_fraction=0.0)
+        assert board_config(grid).n_cells == 600
+
+    def test_only_the_largest_size_reaches_the_overlap(self):
+        # The overlapping pair is 0.28 apart in x, farther than the small
+        # size, with two cells between them in x order.
+        cells = [
+            BoardCell(0.1, 1.0, 0.1),
+            BoardCell(0.2, 1.0, 0.1),
+            BoardCell(0.0, 0.0, 0.5),
+            BoardCell(0.28, 0.0, 0.1),
+        ]
+        with pytest.raises(ValueError) as err:
+            board_config(cells)
+        assert str(err.value) == (
+            "board cells overlap: (0.0, 0.0) and (0.28, 0.0) with sizes 0.5, 0.1"
+        )
+
+    def test_one_cell_board_accepted(self):
+        assert board_config([BoardCell(0.3, -0.2, 0.1)]).n_cells == 1
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(-8, 8),
+                st.integers(-8, 8),
+                st.sampled_from([0.05, 0.1, 0.15, 0.3]),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pairwise_reference(self, raw):
+        # Centers on a 0.05 m lattice make abutting and equal-x cells common.
+        cells = [BoardCell(i * 0.05, j * 0.05, size) for i, j, size in raw]
+        expected = reference_overlap_error(cells)
+        if expected is None:
+            assert board_config(cells).board == tuple(cells)
+        else:
+            with pytest.raises(ValueError) as err:
+                board_config(cells)
+            assert str(err.value) == expected

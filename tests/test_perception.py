@@ -2,9 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from markersim.geometry import CameraIntrinsics, Pose, rot_x, rot_z
+from markersim.geometry import (
+    CameraIntrinsics,
+    OutOfView,
+    Pose,
+    project_point,
+    rot_x,
+    rot_y,
+    rot_z,
+)
 from markersim.marker import (
+    BoardCell,
     MarkerConfig,
     MarkerFamily,
     NoiseProfile,
@@ -18,6 +29,7 @@ from markersim.perception import (
     pixel_footprint,
     relative_yaw,
     simulate_detection,
+    strip_yaw,
 )
 
 K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480,
@@ -184,3 +196,170 @@ class TestEstimates:
         est = simulate_detection(overhead_pose(2.0), cfg, detector_for(cfg),
                                  np.random.default_rng(0), capture_time=12.5)
         assert est.capture_time == 12.5
+
+
+# Scalar reference: the detector evaluated one cell at a time, each corner
+# through geometry.project_point.
+
+
+def reference_project_cell(true_pose, cell, k):
+    """Project one cell; returns (fully_visible, footprint_px or None)."""
+    h = cell.size / 2.0
+    corners = np.array(
+        [
+            [cell.center_x - h, cell.center_y - h, 0.0],
+            [cell.center_x + h, cell.center_y - h, 0.0],
+            [cell.center_x + h, cell.center_y + h, 0.0],
+            [cell.center_x - h, cell.center_y + h, 0.0],
+        ]
+    )
+    corners_cam = (true_pose.rotation @ corners.T).T + true_pose.translation
+    if np.any(corners_cam[:, 2] <= 0.0):
+        return False, None
+    pixels = []
+    visible = True
+    for corner in corners_cam:
+        if isinstance(project_point(corner, k), OutOfView):
+            visible = False
+        pixels.append((k.fx * corner[0] / corner[2] + k.cx, k.fy * corner[1] / corner[2] + k.cy))
+    px = np.asarray(pixels)
+    edges = np.linalg.norm(px - np.roll(px, -1, axis=0), axis=1)
+    return visible, float(edges.max())
+
+
+def reference_detection(true_pose, displayed, detector, rng, capture_time=0.0):
+    """Returns (result, usable cell count or None before the cell gates)."""
+    family = displayed.family
+    t_true = true_pose.translation
+    distance = float(np.linalg.norm(t_true))
+    if distance > family.max_detection_range:
+        return NoDetection("out-of-range"), None
+    footprints = []
+    usable = 0
+    for cell in displayed.board:
+        visible, footprint = reference_project_cell(true_pose, cell, detector.intrinsics)
+        footprints.append(footprint)
+        if visible and footprint is not None and footprint >= family.min_pixel_footprint:
+            usable += 1
+    if usable == 0:
+        numeric = [f for f in footprints if f is not None]
+        if numeric and all(f < family.min_pixel_footprint for f in numeric):
+            return NoDetection("too-small"), 0
+        return NoDetection("out-of-view"), 0
+    believed = detector.believed_config
+    if believed.family.kind is not family.kind:
+        return NoDetection("family-mismatch"), usable
+    scale = believed.marker_size / displayed.marker_size
+    sigma = family.position_noise.sigma_at(distance) / math.sqrt(usable)
+    t_est = t_true * scale + rng.normal(size=3) * sigma
+    if family.yields_yaw:
+        yaw_sigma = family.yaw_noise.sigma_at(distance) if family.yaw_noise else 0.0
+        delta = float(rng.normal()) * yaw_sigma
+        r_est = true_pose.rotation @ rot_z(-delta)
+        yaw_est = relative_yaw(true_pose.rotation) + delta
+    else:
+        r_est = strip_yaw(true_pose.rotation)
+        yaw_est = None
+    estimate = PoseEstimate(
+        relative_pose=Pose(r_est, t_est, true_pose.from_frame, true_pose.to_frame),
+        yaw=yaw_est,
+        computed_against=believed.config_id,
+        capture_time=capture_time,
+        position_sigma=sigma,
+    )
+    return estimate, usable
+
+
+@st.composite
+def camera_poses(draw):
+    """Marker-to-camera pose of a camera 0.05-5 m above the marker plane,
+    offset laterally, tilted up to 30 degrees and at any yaw."""
+    h = draw(st.floats(0.05, 5.0))
+    ox = draw(st.floats(-1.0, 1.0))
+    oy = draw(st.floats(-1.0, 1.0))
+    tilt = math.radians(30.0)
+    rotation = (
+        rot_x(draw(st.floats(-tilt, tilt)))
+        @ rot_y(draw(st.floats(-tilt, tilt)))
+        @ rot_x(math.pi)
+        @ rot_z(-draw(st.floats(-math.pi, math.pi)))
+    )
+    return Pose(rotation, -rotation @ np.array([ox, oy, h]), "marker", "camera")
+
+
+@st.composite
+def boards(draw):
+    kind = draw(st.sampled_from(["single", "grid", "scattered"]))
+    if kind == "single":
+        return (BoardCell(0.0, 0.0, draw(st.floats(0.005, 1.0))),)
+    if kind == "grid":
+        # At most 32 x 32 cells: the screen holds nx + 0.5 pitches per axis.
+        size = draw(st.floats(0.002, 0.3))
+        gap = draw(st.floats(0.0, 0.5))
+        pitch = size * (1.0 + gap)
+        nx, ny = draw(st.integers(1, 32)), draw(st.integers(1, 32))
+        return board_layout(Screen((nx + 0.5) * pitch, (ny + 0.5) * pitch), size, gap)
+    # Cells on a 0.3 m lattice reaching 0.9 m out: low and tilted cameras
+    # see some of them behind the camera or outside the frame.
+    sites = draw(
+        st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+            min_size=1,
+            max_size=20,
+            unique=True,
+        )
+    )
+    return tuple(
+        BoardCell(i * 0.3, j * 0.3, draw(st.floats(0.01, 0.3))) for i, j in sites
+    )
+
+
+class TestBoardProjectionMatchesScalarReference:
+    @given(
+        pose=camera_poses(),
+        board=boards(),
+        long_range=st.booleans(),
+        same_family=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_gate_and_bit_equal_estimate(self, pose, board, long_range, same_family, seed):
+        noisy = (MarkerFamily.long_range_default() if long_range
+                 else MarkerFamily.full_pose_default())
+        other = (MarkerFamily.full_pose_default() if long_range
+                 else MarkerFamily.long_range_default())
+        size = max(c.size for c in board)
+        displayed = MarkerConfig(0, noisy, size, board, screen_limit=2.0)
+        believed = single(noisy if same_family else other, 0.5, config_id=3)
+        det = detector_for(believed)
+
+        expected, usable = reference_detection(
+            pose, displayed, det, np.random.default_rng(seed), capture_time=1.5
+        )
+        got = simulate_detection(pose, displayed, det, np.random.default_rng(seed),
+                                 capture_time=1.5)
+
+        assert type(got) is type(expected)
+        if isinstance(expected, NoDetection):
+            assert got.reason == expected.reason
+            return
+        assert got.position_sigma == expected.position_sigma
+        assert got.position_sigma == (
+            noisy.position_noise.sigma_at(float(np.linalg.norm(pose.translation)))
+            / math.sqrt(usable)
+        )
+        assert np.array_equal(got.relative_pose.translation, expected.relative_pose.translation)
+        assert np.array_equal(got.relative_pose.rotation, expected.relative_pose.rotation)
+        assert got.yaw == expected.yaw
+        assert got.computed_against == expected.computed_against == 3
+        assert got.capture_time == expected.capture_time
+
+    @given(pose=camera_poses(), size=st.floats(0.005, 1.0))
+    @settings(max_examples=100, deadline=None)
+    def test_pixel_footprint_matches_reference(self, pose, size):
+        _, expected = reference_project_cell(pose, BoardCell(0.0, 0.0, size), K)
+        if expected is None:
+            with pytest.raises(ValueError, match="behind"):
+                pixel_footprint(pose, size, K)
+        else:
+            assert pixel_footprint(pose, size, K) == expected
