@@ -202,14 +202,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--timing-scheme", choices=TIMING_SCHEMES, default=None)
         p.add_argument("--size-rule", choices=SIZE_RULES, default=None,
                        help="marker size rule variant")
-        if name == "run":
-            p.add_argument("--strategy", default=None, help=f"one of {', '.join(STRATEGIES)}")
+        if name in ("run", "batch"):
+            p.add_argument("--strategy", choices=STRATEGIES, default=None)
         if name in ("batch", "compare"):
             p.add_argument("--n", type=int, default=50 if name == "batch" else 1,
                            help="number of runs (per strategy for compare)")
             p.add_argument("--jobs", type=int, default=1, help="concurrent runs")
-        if name == "batch":
-            p.add_argument("--strategy", default=None, help=f"one of {', '.join(STRATEGIES)}")
     return parser
 
 
@@ -220,19 +218,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; those are config errors here
         return 0 if exc.code in (0, None) else 1
-    if getattr(args, "strategy", None) is not None and args.strategy not in STRATEGIES:
-        print(f"error: unknown strategy '{args.strategy}' (choose from {', '.join(STRATEGIES)})",
-              file=sys.stderr)
-        return 1
     if getattr(args, "n", 1) < 1:
         print("error: --n must be >= 1", file=sys.stderr)
         return 1
+    handler = {"run": _cmd_run, "batch": _cmd_batch, "compare": _cmd_compare}[args.command]
     try:
-        config_handler = {"run": _cmd_run, "batch": _cmd_batch, "compare": _cmd_compare}[args.command]
-    except KeyError:  # pragma: no cover - argparse enforces the choices
-        return 1
-    try:
-        return config_handler(args)
+        return handler(args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -197,6 +197,14 @@ class MarkerConfig:
             raise ValueError("board must contain at least one cell")
         board = tuple(self.board)
         cells = np.array([(c.center_x, c.center_y, c.size) for c in board], dtype=float)
+        bad = ~(np.isfinite(cells).all(axis=1) & (cells[:, 2] > 0))
+        if bad.any():
+            i = int(bad.argmax())
+            c = board[i]
+            raise ValueError(
+                f"board cell {i} at ({c.center_x}, {c.center_y}) with size {c.size}: "
+                "centers must be finite and sizes finite and positive"
+            )
         pair = _first_overlap(cells)
         if pair is not None:
             a, b = board[pair[0]], board[pair[1]]

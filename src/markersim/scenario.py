@@ -1,6 +1,10 @@
 """Scenario configuration: everything a simulation run needs, with a strict
 JSON loader (unknown keys are rejected so typos fail fast, all quantities SI,
-angles in radians).
+angles in radians). Every value is checked by the one table ``_SCHEMA``:
+``camera.width``, ``camera.height`` and ``run.seed`` are integers; ``null`` is
+allowed only for ``landing.*``, ``delays.safety_margin`` and, meaning its
+defaults, a family or noise profile; a malformed value is a configuration
+error (a ValueError naming its JSON path).
 
 An empty JSON document gives the bundled landing scenario: a 30 Hz VGA camera
 over a 15 cm display, long-range marker bootstrap, family switch at 1.2 m
@@ -11,7 +15,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -81,12 +87,9 @@ class ScenarioConfig:
                 f"tick_step must lie in (0, frame_period/2] = "
                 f"(0, {self.intrinsics.frame_period / 2.0:.6g}], got {self.tick_step}"
             )
-        if self.timing_scheme not in TIMING_SCHEMES:
-            raise ValueError(f"timing_scheme must be one of {TIMING_SCHEMES}, got '{self.timing_scheme}'")
-        if self.size_rule not in SIZE_RULES:
-            raise ValueError(f"size_rule must be one of {SIZE_RULES}, got '{self.size_rule}'")
-        if self.strategy not in STRATEGIES:
-            raise ValueError(f"strategy must be one of {STRATEGIES}, got '{self.strategy}'")
+        _choice(TIMING_SCHEMES, self.timing_scheme, "timing_scheme")
+        _choice(SIZE_RULES, self.size_rule, "size_rule")
+        _choice(STRATEGIES, self.strategy, "strategy")
         if self.descent_rate <= 0:
             raise ValueError(f"descent_rate must be > 0, got {self.descent_rate}")
         if self.gain <= 0:
@@ -104,265 +107,192 @@ def nominal_landing_scenario(**overrides) -> ScenarioConfig:
 
 
 # --- strict JSON parsing ----------------------------------------------------
+# A leaf parser returns the value to store or raises a ValueError naming the path.
 
 
-def _check_keys(section: dict, allowed: tuple, path: str):
+def _is_number(value) -> bool:
+    return isinstance(value, float) or (type(value) is int and abs(value) <= sys.float_info.max)
+
+
+def _number(value, path: str) -> float:
+    if not _is_number(value):
+        raise ValueError(f"'{path}' must be a number, got {value!r}")
+    return float(value)
+
+
+def _optional_number(value, path: str) -> float | None:
+    return None if value is None else _number(value, path)
+
+
+def _integer(value, path: str) -> int:
+    if type(value) is int:
+        return value
+    if not _number(value, path).is_integer():
+        raise ValueError(f"'{path}' must be an integer, got {value!r}")
+    return int(value)
+
+
+def _boolean(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"'{path}' must be a boolean, got {value!r}")
+    return value
+
+
+def _choice(choices: tuple, value, path: str) -> str:
+    if value not in choices:
+        raise ValueError(f"'{path}' must be one of {choices}, got {value!r}")
+    return value
+
+
+def _vector(value, path: str, count: int = 3, shape: str = "a 3-element list") -> tuple[float, ...]:
+    if not (isinstance(value, (list, tuple)) and len(value) == count):
+        raise ValueError(f"'{path}' must be {shape}, got {value!r}")
+    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
+
+
+def _delay_spec(value, path: str) -> DelaySpec:
+    if _is_number(value):
+        return DelaySpec.constant(float(value))
+    if isinstance(value, dict) and value:
+        _check_object(value, ("constant", "uniform"), path)
+        if len(value) > 1:
+            raise ValueError(f"'{path}' must give either 'constant' or 'uniform', not both")
+        if "constant" in value:
+            return DelaySpec.constant(_number(value["constant"], f"{path}.constant"))
+        return DelaySpec.uniform(*_vector(value["uniform"], f"{path}.uniform", 2, "a [lo, hi] list"))
+    raise ValueError(f"'{path}' must be a number, {{'constant': x}} or {{'uniform': [lo, hi]}}")
+
+
+# Marker families: JSON name -> ScenarioConfig attribute, and their leaves.
+_FAMILIES = {"long_range": "long_range_family", "full_pose": "full_pose_family"}
+_FAMILY = {
+    "max_detection_range": _number,
+    "min_pixel_footprint": _number,
+    "yields_yaw": _boolean,
+    **{f"{profile}.{leaf}": _number for profile in ("position_noise", "yaw_noise")
+       for leaf in ("sigma_at_1m", "range_exponent")},
+}
+
+# The scenario schema: JSON leaf path -> (parser, ScenarioConfig attribute
+# path(s) that the parsed value sets). Every other path is a JSON object.
+_SCHEMA = {
+    "camera.fx": (_number, "intrinsics.fx"),
+    "camera.fy": (_number, "intrinsics.fy"),
+    "camera.cx": (_number, "intrinsics.cx"),
+    "camera.cy": (_number, "intrinsics.cy"),
+    "camera.width": (_integer, "intrinsics.width"),
+    "camera.height": (_integer, "intrinsics.height"),
+    "camera.frame_period": (_number, "intrinsics.frame_period", "delays.frame_period"),
+    "screen.width": (_number, "screen.width"),
+    "screen.height": (_number, "screen.height"),
+    "screen.refresh_delay": (_number, "screen.refresh_delay"),
+    **{f"families.{name}.{leaf}": (parse, f"{attr}.{leaf}")
+       for name, attr in _FAMILIES.items() for leaf, parse in _FAMILY.items()},
+    "policy.switch_to_full_pose_below": (_number, "policy.switch_to_full_pose_below"),
+    "policy.switch_to_long_range_above": (_number, "policy.switch_to_long_range_above"),
+    "policy.scale_fraction": (_number, "policy.scale_fraction"),
+    "policy.rescale_deadband": (_number, "policy.rescale_deadband"),
+    "delays.detector_update": (_delay_spec, "delays.detector_update"),
+    "delays.display": (_delay_spec, "delays.display"),
+    "delays.display_confirm": (_delay_spec, "delays.display_confirm"),
+    "delays.video": (_delay_spec, "delays.video"),
+    "delays.pose": (_delay_spec, "delays.pose"),
+    "delays.safety_margin": (_optional_number, "delays.safety_margin"),
+    "controller.gain": (_number, "gain"),
+    "controller.max_linear_speed": (_number, "max_linear_speed"),
+    "controller.max_angular_speed": (_number, "max_angular_speed"),
+    "controller.descent_rate": (_number, "descent_rate"),
+    "controller.command_lag": (_number, "command_lag"),
+    "landing.trigger_time": (_optional_number, "landing_trigger_time"),
+    "landing.error_threshold": (_optional_number, "landing_error_threshold"),
+    "initial.position": (_vector, "initial_position"),
+    "initial.yaw": (_number, "initial_yaw"),
+    "desired.height": (_number, "desired_height"),
+    "desired.yaw": (_number, "desired_yaw"),
+    "run.duration": (_number, "duration"),
+    "run.tick_step": (_number, "tick_step"),
+    "run.timing_scheme": (partial(_choice, TIMING_SCHEMES), "timing_scheme"),
+    "run.size_rule": (partial(_choice, SIZE_RULES), "size_rule"),
+    "run.strategy": (partial(_choice, STRATEGIES), "strategy"),
+    "run.touchdown_height": (_number, "touchdown_height"),
+    "run.bounds_radius": (_number, "bounds_radius"),
+    "run.bounds_height": (_number, "bounds_height"),
+    "run.seed": (_integer, "seed"),
+    "batch.offset_radius": (_number, "batch_offset_radius"),
+    "batch.yaw_half_range": (_number, "batch_yaw_half_range"),
+    "marker.gap_fraction": (_number, "gap_fraction"),
+    "marker.fill_factor": (_number, "fill_factor"),
+}
+
+
+def _check_object(section, allowed, path: str):
+    if not isinstance(section, dict):
+        raise ValueError(f"'{path}' must be a JSON object, got {type(section).__name__}")
     unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise ValueError(f"unknown config key(s) {unknown} in '{path}' (allowed: {sorted(allowed)})")
 
 
-def _number(section: dict, key: str, default, path: str):
-    value = section.get(key, default)
-    if value is None:
-        return None
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"'{path}.{key}' must be a number, got {value!r}")
-    return float(value)
+def _walk(section, path: str, updates: dict, present: set):
+    """Check the JSON object at ``path`` ("" for the document) against _SCHEMA:
+    each leaf's value goes to ``updates`` and each object's path to ``present``."""
+    prefix = f"{path}." if path else ""
+    allowed = {leaf[len(prefix):].partition(".")[0] for leaf in _SCHEMA if leaf.startswith(prefix)}
+    _check_object(section, allowed, path or "config")
+    present.add(path)
+    for key, value in section.items():
+        child = prefix + key
+        if child in _SCHEMA:
+            parse, *targets = _SCHEMA[child]
+            updates.update(dict.fromkeys(targets, parse(value, child)))
+        elif value is not None or not path:
+            # a null family or noise profile means its defaults
+            _walk(value, child, updates, present)
 
 
-def _delay_spec(value, path: str) -> DelaySpec:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return DelaySpec.constant(float(value))
-    if isinstance(value, dict):
-        _check_keys(value, ("constant", "uniform"), path)
-        if "constant" in value and "uniform" in value:
-            raise ValueError(f"'{path}' must give either 'constant' or 'uniform', not both")
-        if "constant" in value:
-            return DelaySpec.constant(float(value["constant"]))
-        if "uniform" in value:
-            lo, hi = value["uniform"]
-            return DelaySpec.uniform(float(lo), float(hi))
-    raise ValueError(f"'{path}' must be a number, {{'constant': x}} or {{'uniform': [lo, hi]}}")
-
-
-def _noise_profile(section, default: NoiseProfile, path: str) -> NoiseProfile:
-    if section is None:
-        return default
-    _check_keys(section, ("sigma_at_1m", "range_exponent"), path)
-    return NoiseProfile(
-        sigma_at_1m=_number(section, "sigma_at_1m", default.sigma_at_1m, path),
-        range_exponent=_number(section, "range_exponent", default.range_exponent, path),
-    )
-
-
-def _family(section, default: MarkerFamily, path: str) -> MarkerFamily:
-    if section is None:
-        return default
-    allowed = (
-        "max_detection_range",
-        "min_pixel_footprint",
-        "yields_yaw",
-        "position_noise",
-        "yaw_noise",
-    )
-    _check_keys(section, allowed, path)
-    yields_yaw = section.get("yields_yaw", default.yields_yaw)
-    if not isinstance(yields_yaw, bool):
-        raise ValueError(f"'{path}.yields_yaw' must be a boolean, got {yields_yaw!r}")
-    if yields_yaw:
-        yaw_default = default.yaw_noise if default.yaw_noise is not None else NoiseProfile(0.0, 0.0)
-        yaw_noise = _noise_profile(section.get("yaw_noise"), yaw_default, f"{path}.yaw_noise")
-    else:
-        if section.get("yaw_noise") is not None:
-            raise ValueError(f"'{path}.yaw_noise' must be null when yields_yaw is false")
-        yaw_noise = None
-    return MarkerFamily(
-        kind=default.kind,
-        max_detection_range=_number(section, "max_detection_range", default.max_detection_range, path),
-        min_pixel_footprint=_number(section, "min_pixel_footprint", default.min_pixel_footprint, path),
-        yields_yaw=yields_yaw,
-        position_noise=_noise_profile(
-            section.get("position_noise"), default.position_noise, f"{path}.position_noise"
-        ),
-        yaw_noise=yaw_noise,
-    )
+def _build(obj, updates: dict):
+    """``obj`` with dotted attribute paths set, each nested dataclass replaced
+    once, in field order, from the path's own update if it has one."""
+    changes, nested = {}, {}
+    for path, value in updates.items():
+        head, _, rest = path.partition(".")
+        if rest:
+            nested.setdefault(head, {})[rest] = value
+        else:
+            changes[head] = value
+    for f in fields(obj):
+        if f.name in nested:
+            changes[f.name] = _build(changes.get(f.name, getattr(obj, f.name)), nested[f.name])
+    return replace(obj, **changes)
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed JSON document.
 
     Every section and key is optional (defaults are the bundled scenario),
-    but unknown keys anywhere raise a ValueError naming the offending field.
+    but unknown keys and malformed values anywhere raise a ValueError naming
+    the offending field.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"config document must be a JSON object, got {type(doc).__name__}")
+    updates, present = {}, set()
+    _walk(doc, "", updates, present)
     base = ScenarioConfig()
-    sections = (
-        "camera",
-        "screen",
-        "families",
-        "policy",
-        "delays",
-        "controller",
-        "landing",
-        "initial",
-        "desired",
-        "run",
-        "batch",
-        "marker",
-    )
-    _check_keys(doc, sections, "config")
-
-    cam = doc.get("camera", {})
-    _check_keys(cam, ("fx", "fy", "cx", "cy", "width", "height", "frame_period"), "camera")
-    intr = base.intrinsics
-    intrinsics = CameraIntrinsics(
-        fx=_number(cam, "fx", intr.fx, "camera"),
-        fy=_number(cam, "fy", intr.fy, "camera"),
-        cx=_number(cam, "cx", intr.cx, "camera"),
-        cy=_number(cam, "cy", intr.cy, "camera"),
-        width=int(_number(cam, "width", intr.width, "camera")),
-        height=int(_number(cam, "height", intr.height, "camera")),
-        frame_period=_number(cam, "frame_period", intr.frame_period, "camera"),
-    )
-
-    scr = doc.get("screen", {})
-    _check_keys(scr, ("width", "height", "refresh_delay"), "screen")
-    screen = Screen(
-        width=_number(scr, "width", base.screen.width, "screen"),
-        height=_number(scr, "height", base.screen.height, "screen"),
-        refresh_delay=_number(scr, "refresh_delay", base.screen.refresh_delay, "screen"),
-    )
-
-    fams = doc.get("families", {})
-    _check_keys(fams, ("long_range", "full_pose"), "families")
-    long_range = _family(fams.get("long_range"), base.long_range_family, "families.long_range")
-    full_pose = _family(fams.get("full_pose"), base.full_pose_family, "families.full_pose")
-
-    pol = doc.get("policy", {})
-    _check_keys(
-        pol,
-        (
-            "switch_to_full_pose_below",
-            "switch_to_long_range_above",
-            "scale_fraction",
-            "rescale_deadband",
-        ),
-        "policy",
-    )
-    policy = SwitchPolicy(
-        switch_to_full_pose_below=_number(
-            pol, "switch_to_full_pose_below", base.policy.switch_to_full_pose_below, "policy"
-        ),
-        switch_to_long_range_above=_number(
-            pol, "switch_to_long_range_above", base.policy.switch_to_long_range_above, "policy"
-        ),
-        scale_fraction=_number(pol, "scale_fraction", base.policy.scale_fraction, "policy"),
-        rescale_deadband=_number(pol, "rescale_deadband", base.policy.rescale_deadband, "policy"),
-    )
-
-    dly = doc.get("delays", {})
-    _check_keys(
-        dly,
-        ("detector_update", "display", "display_confirm", "video", "pose", "safety_margin"),
-        "delays",
-    )
-    base_d = base.delays
-
-    def spec_or(key: str, default: DelaySpec) -> DelaySpec:
-        return _delay_spec(dly[key], f"delays.{key}") if key in dly else default
-
-    display = spec_or("display", base_d.display)
-    if screen.refresh_delay > 0:
+    for name, attr in _FAMILIES.items():
+        # No yaw, no yaw noise; a family gaining yaw with no default starts at zero.
+        default = getattr(base, attr)
+        yields_yaw = updates.get(f"{attr}.yields_yaw", default.yields_yaw)
+        if not yields_yaw and f"families.{name}.yaw_noise" in present:
+            raise ValueError(f"'families.{name}.yaw_noise' must be null when yields_yaw is false")
+        if yields_yaw != (default.yaw_noise is not None):
+            updates[f"{attr}.yaw_noise"] = NoiseProfile(0.0, 0.0) if yields_yaw else None
+    refresh = updates.get("screen.refresh_delay", base.screen.refresh_delay)
+    if refresh > 0:
         # The display path includes the physical refresh of the screen.
-        display = DelaySpec(
-            display.low + screen.refresh_delay,
-            None if display.high is None else display.high + screen.refresh_delay,
-        )
-    delays = DelayModel(
-        detector_update=spec_or("detector_update", base_d.detector_update),
-        display=display,
-        display_confirm=spec_or("display_confirm", base_d.display_confirm),
-        video=spec_or("video", base_d.video),
-        pose=spec_or("pose", base_d.pose),
-        frame_period=intrinsics.frame_period,
-        safety_margin=_number(dly, "safety_margin", None, "delays"),
-    )
-
-    ctl = doc.get("controller", {})
-    _check_keys(
-        ctl,
-        ("gain", "max_linear_speed", "max_angular_speed", "descent_rate", "command_lag"),
-        "controller",
-    )
-
-    lnd = doc.get("landing", {})
-    _check_keys(lnd, ("trigger_time", "error_threshold"), "landing")
-    trigger_time = _number(lnd, "trigger_time", base.landing_trigger_time, "landing")
-    error_threshold = _number(lnd, "error_threshold", base.landing_error_threshold, "landing")
-
-    ini = doc.get("initial", {})
-    _check_keys(ini, ("position", "yaw"), "initial")
-    position = ini.get("position", list(base.initial_position))
-    if not (isinstance(position, (list, tuple)) and len(position) == 3):
-        raise ValueError(f"'initial.position' must be a 3-element list, got {position!r}")
-
-    des = doc.get("desired", {})
-    _check_keys(des, ("height", "yaw"), "desired")
-
-    run = doc.get("run", {})
-    _check_keys(
-        run,
-        (
-            "duration",
-            "tick_step",
-            "timing_scheme",
-            "size_rule",
-            "strategy",
-            "touchdown_height",
-            "bounds_radius",
-            "bounds_height",
-            "seed",
-        ),
-        "run",
-    )
-    for key, choices in (
-        ("timing_scheme", TIMING_SCHEMES),
-        ("size_rule", SIZE_RULES),
-        ("strategy", STRATEGIES),
-    ):
-        if key in run and run[key] not in choices:
-            raise ValueError(f"'run.{key}' must be one of {choices}, got {run[key]!r}")
-
-    bat = doc.get("batch", {})
-    _check_keys(bat, ("offset_radius", "yaw_half_range"), "batch")
-
-    mrk = doc.get("marker", {})
-    _check_keys(mrk, ("gap_fraction", "fill_factor"), "marker")
-
-    return ScenarioConfig(
-        intrinsics=intrinsics,
-        screen=screen,
-        long_range_family=long_range,
-        full_pose_family=full_pose,
-        policy=policy,
-        delays=delays,
-        gain=_number(ctl, "gain", base.gain, "controller"),
-        max_linear_speed=_number(ctl, "max_linear_speed", base.max_linear_speed, "controller"),
-        max_angular_speed=_number(ctl, "max_angular_speed", base.max_angular_speed, "controller"),
-        descent_rate=_number(ctl, "descent_rate", base.descent_rate, "controller"),
-        command_lag=_number(ctl, "command_lag", base.command_lag, "controller"),
-        initial_position=tuple(float(v) for v in position),
-        initial_yaw=_number(ini, "yaw", base.initial_yaw, "initial"),
-        desired_height=_number(des, "height", base.desired_height, "desired"),
-        desired_yaw=_number(des, "yaw", base.desired_yaw, "desired"),
-        landing_trigger_time=trigger_time,
-        landing_error_threshold=error_threshold,
-        duration=_number(run, "duration", base.duration, "run"),
-        tick_step=_number(run, "tick_step", base.tick_step, "run"),
-        timing_scheme=run.get("timing_scheme", base.timing_scheme),
-        size_rule=run.get("size_rule", base.size_rule),
-        strategy=run.get("strategy", base.strategy),
-        touchdown_height=_number(run, "touchdown_height", base.touchdown_height, "run"),
-        bounds_radius=_number(run, "bounds_radius", base.bounds_radius, "run"),
-        bounds_height=_number(run, "bounds_height", base.bounds_height, "run"),
-        batch_offset_radius=_number(bat, "offset_radius", base.batch_offset_radius, "batch"),
-        batch_yaw_half_range=_number(bat, "yaw_half_range", base.batch_yaw_half_range, "batch"),
-        gap_fraction=_number(mrk, "gap_fraction", base.gap_fraction, "marker"),
-        fill_factor=_number(mrk, "fill_factor", base.fill_factor, "marker"),
-        seed=int(run.get("seed", base.seed)),
-    )
+        display = updates.get("delays.display", base.delays.display)
+        high = None if display.high is None else display.high + refresh
+        updates["delays.display"] = DelaySpec(display.low + refresh, high)
+    return _build(base, updates)
 
 
 def load_scenario(path) -> ScenarioConfig:

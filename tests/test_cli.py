@@ -1,10 +1,22 @@
+import copy
+import dataclasses
 import json
+import re
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
 
 from markersim.cli import main
-from markersim.scenario import load_scenario, nominal_landing_scenario
+from markersim.scenario import (
+    _SCHEMA,
+    SIZE_RULES,
+    STRATEGIES,
+    TIMING_SCHEMES,
+    load_scenario,
+    nominal_landing_scenario,
+    scenario_from_dict,
+)
 
 SCENARIO_JSON = Path(__file__).resolve().parent.parent / "scenarios" / "landing.json"
 
@@ -54,6 +66,106 @@ class TestConfigLoading:
         path.write_text('{"delays": {"video": {"gaussian": [0, 1]}}}', encoding="utf-8")
         with pytest.raises(ValueError, match="delays.video"):
             load_scenario(path)
+
+
+MALFORMED = [
+    ({"delays": {"video": {"uniform": 5}}}, "delays.video.uniform"),
+    ({"delays": {"video": {"constant": None}}}, "delays.video.constant"),
+    ({"camera": 5}, "camera"),
+    ({"families": 5}, "families"),
+    ({"initial": {"position": [None, 1, 2]}}, "initial.position"),
+    ({"initial": {"position": ["3", 1, 2]}}, "initial.position"),
+    ({"controller": {"gain": None}}, "controller.gain"),
+    ({"controller": {"gain": 10**400}}, "controller.gain"),
+    ({"run": {"seed": 1.7}}, "run.seed"),
+    ({"camera": {"width": 1.5}}, "camera.width"),
+]
+
+
+@pytest.mark.parametrize("doc, path", MALFORMED)
+def test_malformed_value_is_config_error(doc, path, tmp_path, capsys):
+    with pytest.raises(ValueError, match=re.escape(f"'{path}")):
+        scenario_from_dict(doc)
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "simulation failed" not in err
+
+
+def _leaves(doc, path=""):
+    """JSON leaf paths of a document, descending only into schema objects."""
+    for key, value in doc.items():
+        child = f"{path}.{key}" if path else key
+        if isinstance(value, dict) and child not in _SCHEMA:
+            yield from _leaves(value, child)
+        else:
+            yield child
+
+
+def _attributes(obj, path=""):
+    """Dotted attribute path -> value for every leaf of a nested dataclass."""
+    if not dataclasses.is_dataclass(obj):
+        return {path: obj}
+    out = {}
+    for f in dataclasses.fields(obj):
+        out.update(_attributes(getattr(obj, f.name), f"{path}.{f.name}" if path else f.name))
+    return out
+
+
+def _other_value(value):
+    """A different value of the same kind that the scenario still accepts."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return 0.9 * value if value else 0.5
+    if isinstance(value, str):
+        choices = next(c for c in (STRATEGIES, TIMING_SCHEMES, SIZE_RULES) if value in c)
+        return next(c for c in choices if c != value)
+    if isinstance(value, tuple):
+        return [0.9 * v for v in value]
+    if value is None:
+        return 0.5
+    return 0.9 * value.mean  # a DelaySpec, as a constant delay
+
+
+class TestSchema:
+    def test_bundled_scenario_spells_out_every_leaf(self):
+        doc = json.loads(SCENARIO_JSON.read_text(encoding="utf-8"))
+        # long_range yields no yaw, so the file gives it no yaw_noise
+        omitted = {leaf for leaf in _SCHEMA if leaf.startswith("families.long_range.yaw_noise.")}
+        assert set(_leaves(doc)) == set(_SCHEMA) - omitted
+
+    def test_each_attribute_is_set_by_one_leaf_of_its_name(self):
+        targets = [(leaf, t) for leaf, (_, *ts) in _SCHEMA.items() for t in ts]
+        assert all(t.endswith(leaf.rpartition(".")[2]) for leaf, t in targets)
+        assert len({t for _, t in targets}) == len(targets)
+
+    @pytest.mark.parametrize("leaf", sorted(_SCHEMA))
+    def test_each_leaf_sets_exactly_its_attributes(self, leaf):
+        _, *targets = _SCHEMA[leaf]
+        doc = {}
+        if leaf.startswith("families.long_range.yaw_noise."):
+            # long_range has no yaw noise to change until it yields yaw
+            doc = {"families": {"long_range": {"yields_yaw": True}}}
+        before = scenario_from_dict(copy.deepcopy(doc))
+        *parents, key = leaf.split(".")
+        section = doc
+        for name in parents:
+            section = section.setdefault(name, {})
+        section[key] = _other_value(attrgetter(targets[0])(before))
+        old, new = _attributes(before), _attributes(scenario_from_dict(doc))
+        changed = {p for p in old.keys() | new.keys() if old.get(p, "absent") != new.get(p, "absent")}
+        expected = set(targets)
+        # the two rules that link fields
+        if key == "yields_yaw":
+            expected.add(targets[0].replace("yields_yaw", "yaw_noise"))
+        if leaf == "screen.refresh_delay":
+            expected.add("delays.display")
+        owners = {next((t for t in expected if p == t or p.startswith(f"{t}.")), p) for p in changed}
+        assert owners == expected
 
 
 class TestRunCommand:

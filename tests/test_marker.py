@@ -240,6 +240,27 @@ def reference_overlap_error(cells):
     return None
 
 
+class TestBoardCellValues:
+    def test_first_bad_cell_in_board_order_is_named(self):
+        cells = [BoardCell(0.0, 0.0, -1.0), BoardCell(float("nan"), 0.0, 0.1)]
+        with pytest.raises(ValueError, match=r"^board cell 0 at \(0\.0, 0\.0\) with size -1\.0:"):
+            board_config(cells)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            BoardCell(float("nan"), 0.0, 0.1),
+            BoardCell(0.0, float("inf"), 0.1),
+            BoardCell(0.5, 0.0, 0.0),
+            BoardCell(0.5, 0.0, float("nan")),
+            BoardCell(0.5, 0.0, float("inf")),
+        ],
+    )
+    def test_non_finite_or_non_positive_cell_rejected(self, bad):
+        with pytest.raises(ValueError, match="^board cell 1 at"):
+            board_config([BoardCell(-0.5, 0.0, 0.1), bad, BoardCell(0.0, 0.0, -1.0)])
+
+
 class TestBoardOverlap:
     def test_first_pair_in_board_order_is_named(self):
         # Sorted by x, the (0.0, 0.01) pair comes first; in board order the
