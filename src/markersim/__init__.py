@@ -1,24 +1,14 @@
 """markersim: closed-loop simulator for screen-displayed adaptive fiducial
 markers, camera-guided landing, and the update-synchronization protocol
-between display and detector."""
+between display and detector.
+
+The package re-exports the names the demos and the README import; everything
+else is reached through its module (``markersim.timing``, ...)."""
 
 __version__ = "0.1.0"
 
-from .geometry import (
-    AngleAxis,
-    CameraIntrinsics,
-    OutOfView,
-    Pose,
-    angle_axis_to_rotation,
-    compose,
-    fov_half_angle,
-    invert,
-    project_point,
-    rotation_to_angle_axis,
-)
+from .geometry import CameraIntrinsics, Pose, fov_half_angle
 from .marker import (
-    BoardCell,
-    FamilyKind,
     MarkerConfig,
     MarkerFamily,
     NoiseProfile,
@@ -28,54 +18,15 @@ from .marker import (
     clamp_to_screen,
     optimal_marker_size,
 )
-from .marker_control import (
-    MarkerCommand,
-    SwitchPolicy,
-    apply_update,
-    bootstrap_config,
-    select_marker,
-)
-from .pbvs import (
-    FeatureVector,
-    VelocityCommand,
-    clamp_command,
-    compute_error,
-    control_law,
-    error_and_rotation,
-)
-from .perception import (
-    DetectorParams,
-    NoDetection,
-    PoseEstimate,
-    pixel_footprint,
-    simulate_detection,
-)
-from .scenario import (
-    ScenarioConfig,
-    load_scenario,
-    nominal_landing_scenario,
-    scenario_from_dict,
-)
-from .simulation import (
-    SimTrace,
-    VehicleState,
-    collect_metrics,
-    run_scenario,
-    trace_to_csv,
-    vehicle_step,
-)
-from .timing import (
-    DelayModel,
-    DelaySample,
-    DelaySpec,
-    UpdateTimeline,
-    ValidityStamp,
-    compute_optimized_wait,
-    compute_safe_wait,
-    evaluate_optimized_conditions,
-    replay_update_frames,
-    schedule_update,
-    stamp_validity,
-)
+from .perception import DetectorParams, simulate_detection
+from .scenario import nominal_landing_scenario
+from .simulation import collect_metrics, run_scenario
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "CameraIntrinsics", "Pose", "fov_half_angle",
+    "MarkerConfig", "MarkerFamily", "NoiseProfile", "Screen", "board_layout",
+    "camera_freedom_angle", "clamp_to_screen", "optimal_marker_size",
+    "DetectorParams", "simulate_detection",
+    "nominal_landing_scenario",
+    "collect_metrics", "run_scenario",
+]

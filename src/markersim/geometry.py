@@ -39,16 +39,30 @@ def rot_z(angle: float) -> np.ndarray:
 
 
 _EYE3 = np.eye(3)
+_NEWTON_EYE = 1.5 * _EYE3
 
 
 def _rotation_defect(r: np.ndarray) -> float:
-    # Closed-form determinant: np.linalg.det dominates hot paths on 3x3s.
-    det = (
-        r[0, 0] * (r[1, 1] * r[2, 2] - r[1, 2] * r[2, 1])
-        - r[0, 1] * (r[1, 0] * r[2, 2] - r[1, 2] * r[2, 0])
-        + r[0, 2] * (r[1, 0] * r[2, 1] - r[1, 1] * r[2, 0])
+    # Scalar arithmetic on the nine entries: numpy's per-call overhead
+    # dominates on 3x3s, and every Pose runs this check.
+    (a, b, c), (d, e, f), (g, h, i) = r.tolist()
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    return max(
+        abs(det - 1.0),
+        # entries of r.T @ r - I; the matrix is symmetric
+        abs(a * a + d * d + g * g - 1.0),
+        abs(b * b + e * e + h * h - 1.0),
+        abs(c * c + f * f + i * i - 1.0),
+        abs(a * b + d * e + g * h),
+        abs(a * c + d * f + g * i),
+        abs(b * c + e * f + h * i),
     )
-    return float(max(np.abs(r.T @ r - _EYE3).max(), abs(det - 1.0)))
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a float vector; the value np.linalg.norm returns,
+    without its per-call overhead."""
+    return math.sqrt(float(v.dot(v)))
 
 
 def check_rotation(r: np.ndarray, tol: float = ORTHONORMAL_TOL) -> np.ndarray:
@@ -57,7 +71,7 @@ def check_rotation(r: np.ndarray, tol: float = ORTHONORMAL_TOL) -> np.ndarray:
     if r.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got shape {r.shape}")
     defect = _rotation_defect(r)
-    if defect > tol:
+    if not defect <= tol:  # a NaN defect fails too
         raise ValueError(
             f"matrix is not a proper rotation (orthonormality defect {defect:.3e} > {tol:.1e})"
         )
@@ -71,7 +85,7 @@ def orthonormalize(r: np.ndarray) -> np.ndarray:
     small drift produced by Euler integration.
     """
     for _ in range(2):
-        r = r @ (1.5 * np.eye(3) - 0.5 * (r.T @ r))
+        r = r @ (_NEWTON_EYE - 0.5 * (r.T @ r))
     return r
 
 
@@ -142,7 +156,7 @@ class AngleAxis:
         if angle < 0.0 or angle > math.pi + 1e-12:
             raise ValueError(f"angle must lie in [0, pi], got {angle}")
         if angle > _ZERO_ANGLE_EPS:
-            n = float(np.linalg.norm(axis))
+            n = vector_norm(axis)
             if abs(n - 1.0) > 1e-9:
                 raise ValueError(f"axis must be a unit vector, norm was {n}")
         else:
@@ -155,7 +169,7 @@ class AngleAxis:
     def from_vector(cls, vec: np.ndarray) -> "AngleAxis":
         """Build from a rotation vector (axis scaled by angle)."""
         vec = np.asarray(vec, dtype=float).reshape(3)
-        angle = float(np.linalg.norm(vec))
+        angle = vector_norm(vec)
         if angle <= _ZERO_ANGLE_EPS:
             return cls(np.array([0.0, 0.0, 1.0]), 0.0)
         return cls(vec / angle, angle)
@@ -189,7 +203,7 @@ def rotation_to_angle_axis(r: np.ndarray) -> AngleAxis:
         b = (r + np.eye(3)) / 2.0
         k = int(np.argmax(np.diag(b)))
         axis = b[k] / math.sqrt(max(b[k, k], 1e-300))
-        axis = axis / np.linalg.norm(axis)
+        axis = axis / vector_norm(axis)
         for component in axis:
             if abs(component) > 1e-9:
                 if component < 0.0:
@@ -198,7 +212,7 @@ def rotation_to_angle_axis(r: np.ndarray) -> AngleAxis:
         return AngleAxis(axis, angle)
     axis = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
     axis = axis / (2.0 * math.sin(angle))
-    axis = axis / np.linalg.norm(axis)
+    axis = axis / vector_norm(axis)
     return AngleAxis(axis, angle)
 
 

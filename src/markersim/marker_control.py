@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .geometry import CameraIntrinsics, fov_half_angle
+from .geometry import CameraIntrinsics, fov_half_angle, vector_norm
 from .marker import (
     BoardCell,
     FamilyKind,
@@ -96,7 +94,7 @@ def select_marker(
             return MarkerCommand(bootstrap_config(long_range, screen, fill_factor), now)
         return None
 
-    h = float(np.linalg.norm(estimate.relative_pose.translation))
+    h = vector_norm(estimate.relative_pose.translation)
     if h <= 0.0:
         return None
 

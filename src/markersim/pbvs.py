@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import AngleAxis, Pose, compose, invert, rotation_to_angle_axis
+from .geometry import AngleAxis, Pose, compose, invert, rotation_to_angle_axis, vector_norm
 from .perception import PoseEstimate
 
 
@@ -31,7 +31,7 @@ class FeatureVector:
 
     def __post_init__(self):
         t = np.asarray(self.translation, dtype=float).reshape(3)
-        if not np.all(np.isfinite(t)):
+        if not all(map(math.isfinite, t.tolist())):
             raise ValueError("feature translation has non-finite components")
         object.__setattr__(self, "translation", t)
 
@@ -40,10 +40,6 @@ class FeatureVector:
         return float(
             math.sqrt(float(self.translation @ self.translation) + self.rotation.angle**2)
         )
-
-    @property
-    def is_zero(self) -> bool:
-        return self.magnitude() == 0.0
 
 
 @dataclass(frozen=True)
@@ -64,7 +60,7 @@ class VelocityCommand:
 
     @property
     def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.linear)) and np.all(np.isfinite(self.angular)))
+        return all(map(math.isfinite, self.linear.tolist() + self.angular.tolist()))
 
 
 def error_and_rotation(estimate: PoseEstimate, desired: Pose) -> tuple[FeatureVector, np.ndarray]:
@@ -107,10 +103,10 @@ def clamp_command(
     """Scale the twist down to the configured speed limits, keeping direction."""
     linear = cmd.linear
     angular = cmd.angular
-    ln = float(np.linalg.norm(linear))
+    ln = vector_norm(linear)
     if max_linear > 0 and ln > max_linear:
         linear = linear * (max_linear / ln)
-    an = float(np.linalg.norm(angular))
+    an = vector_norm(angular)
     if max_angular > 0 and an > max_angular:
         angular = angular * (max_angular / an)
     return replace(cmd, linear=linear, angular=angular)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, invert, rot_z
+from .geometry import CameraIntrinsics, Pose, invert, rot_z, vector_norm
 from .marker import MarkerConfig, board_corners
 
 
@@ -138,7 +138,7 @@ def simulate_detection(
     """
     family = displayed.family
     t_true = true_pose.translation
-    distance = float(np.linalg.norm(t_true))
+    distance = vector_norm(t_true)
     if distance > family.max_detection_range:
         return NoDetection("out-of-range")
 

@@ -1,10 +1,11 @@
 """Scenario configuration: everything a simulation run needs, with a strict
 JSON loader (unknown keys are rejected so typos fail fast, all quantities SI,
 angles in radians). Every value is checked by the one table ``_SCHEMA``:
-``camera.width``, ``camera.height`` and ``run.seed`` are integers; ``null`` is
-allowed only for ``landing.*``, ``delays.safety_margin`` and, meaning its
-defaults, a family or noise profile; a malformed value is a configuration
-error (a ValueError naming its JSON path).
+numbers are finite; ``camera.width``, ``camera.height`` and ``run.seed`` are
+integers, the seed non-negative; ``null`` is allowed only for ``landing.*``,
+``delays.safety_margin`` and, meaning its defaults, a family or noise
+profile; a malformed value is a configuration error (a ValueError naming its
+JSON path).
 
 An empty JSON document gives the bundled landing scenario: a 30 Hz VGA camera
 over a 15 cm display, long-range marker bootstrap, family switch at 1.2 m
@@ -111,12 +112,14 @@ def nominal_landing_scenario(**overrides) -> ScenarioConfig:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, float) or (type(value) is int and abs(value) <= sys.float_info.max)
+    if isinstance(value, float):
+        return math.isfinite(value)  # json parses NaN and Infinity
+    return type(value) is int and abs(value) <= sys.float_info.max
 
 
 def _number(value, path: str) -> float:
     if not _is_number(value):
-        raise ValueError(f"'{path}' must be a number, got {value!r}")
+        raise ValueError(f"'{path}' must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -130,6 +133,13 @@ def _integer(value, path: str) -> int:
     if not _number(value, path).is_integer():
         raise ValueError(f"'{path}' must be an integer, got {value!r}")
     return int(value)
+
+
+def _seed(value, path: str) -> int:
+    seed = _integer(value, path)
+    if seed < 0:
+        raise ValueError(f"'{path}' must be >= 0, got {value!r}")
+    return seed
 
 
 def _boolean(value, path: str) -> bool:
@@ -217,7 +227,7 @@ _SCHEMA = {
     "run.touchdown_height": (_number, "touchdown_height"),
     "run.bounds_radius": (_number, "bounds_radius"),
     "run.bounds_height": (_number, "bounds_height"),
-    "run.seed": (_integer, "seed"),
+    "run.seed": (_seed, "seed"),
     "batch.offset_radius": (_number, "batch_offset_radius"),
     "batch.yaw_half_range": (_number, "batch_yaw_half_range"),
     "marker.gap_fraction": (_number, "gap_fraction"),

@@ -14,11 +14,11 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .geometry import Pose, invert, orthonormalize, rot_x, rot_z
+from .geometry import Pose, invert, orthonormalize, rot_x, rot_z, vector_norm
 from .marker import FamilyKind, MarkerConfig
 from .marker_control import MarkerCommand, apply_update, bootstrap_config, select_marker
 from .pbvs import VelocityCommand, clamp_command, control_law, error_and_rotation, with_descent
@@ -27,27 +27,18 @@ from .perception import (
     NoDetection,
     PoseEstimate,
     camera_position_in_marker,
-    relative_yaw,
     simulate_detection,
 )
 from .scenario import ScenarioConfig
 from .timing import (
-    detector_switch_time,
+    PRIO_GRAB,
+    PRIO_POSE_READY,
+    UpdateProtocol,
     evaluate_optimized_conditions,
     schedule_update,
-    stamp_validity,
-    update_complete_time,
-    wait_window,
 )
 
-# Event ordering at equal timestamps: display < confirmation < capture <
-# detector-update; completion bookkeeping and externals come after.
-_PRIO_DISPLAY = 0
-_PRIO_CONFIRM = 1
-_PRIO_GRAB = 2
-_PRIO_POSE_READY = 3
-_PRIO_DETECTOR_UPDATE = 4
-_PRIO_UPDATE_COMPLETE = 5
+# External events come after every update-protocol event at equal timestamps.
 _PRIO_LANDING = 6
 _PRIO_END = 9
 
@@ -96,7 +87,7 @@ def vehicle_step(state: VehicleState, cmd: VelocityCommand, dt: float) -> Vehicl
     if not cmd.is_finite:
         raise ValueError("velocity command has non-finite components")
     r = state.pose.rotation
-    if not np.any(cmd.linear) and not np.any(cmd.angular):
+    if not (any(cmd.linear.tolist()) or any(cmd.angular.tolist())):
         return VehicleState(state.pose, state.time + dt)
     t_new = state.pose.translation + r @ cmd.linear * dt
     r_new = orthonormalize(r + r @ _skew(cmd.angular) * dt)
@@ -171,30 +162,7 @@ class SimTrace:
     size_rule: str
 
 
-TRACE_COLUMNS = (
-    "time",
-    "x",
-    "y",
-    "z",
-    "yaw",
-    "distance",
-    "detect_status",
-    "validity",
-    "est_x",
-    "est_y",
-    "est_z",
-    "est_yaw",
-    "displayed_config",
-    "displayed_family",
-    "displayed_size",
-    "displayed_cells",
-    "believed_config",
-    "cmd_vx",
-    "cmd_vy",
-    "cmd_vz",
-    "cmd_wz",
-    "landing",
-)
+TRACE_COLUMNS = tuple(f.name for f in fields(TickRecord))
 
 
 class _Engine:
@@ -212,13 +180,10 @@ class _Engine:
         self.detector = DetectorParams(believed_config=initial, intrinsics=config.intrinsics)
         self.commanded = initial
 
-        self.scheme_requested = config.timing_scheme
-        if config.timing_scheme == "optimized" and not evaluate_optimized_conditions(
-            config.delays
-        ).all_hold:
-            self.scheme = "safe"
-        else:
-            self.scheme = config.timing_scheme
+        scheme = config.timing_scheme
+        if scheme == "optimized" and not evaluate_optimized_conditions(config.delays).all_hold:
+            scheme = "safe"
+        self.protocol = UpdateProtocol(scheme)
 
         self.cmd = VelocityCommand.zero()
         self._applied_cmd = self.cmd
@@ -226,9 +191,8 @@ class _Engine:
         self.w_applied = np.zeros(3)
         self.landing = False
         self.last_valid: PoseEstimate | None = None
-        self.in_flight = None  # (timeline, MarkerCommand)
+        self.in_flight: MarkerCommand | None = None
         self.pending: MarkerCommand | None = None
-        self.timelines = []  # recent update timelines, newest last
 
         self.records: list[TickRecord] = []
         self.events: list[EventRecord] = []
@@ -327,7 +291,7 @@ class _Engine:
                 y=float(t[1]),
                 z=float(t[2]),
                 yaw=yaw,
-                distance=float(np.linalg.norm(t)),
+                distance=vector_norm(t),
                 detect_status=self._note_detect,
                 validity=self._note_valid,
                 est_x=est[0],
@@ -354,18 +318,11 @@ class _Engine:
 
     # -- event handlers ----------------------------------------------------
 
-    def _timeline_for(self, capture_time: float):
-        for timeline in reversed(self.timelines):
-            lo, hi = wait_window(timeline, self.scheme)
-            if capture_time >= lo:
-                return timeline if capture_time < hi else None
-        return None
-
     def _on_grab(self, now: float):
         true_rel = invert(self.state.pose)  # marker -> camera
         transport = self.cfg.delays.video.sample(self.rng) + self.cfg.delays.pose.sample(self.rng)
-        self._push(now + transport, _PRIO_POSE_READY, "pose_ready", (now, true_rel, self.displayed))
-        self._push(now + self.cfg.intrinsics.frame_period, _PRIO_GRAB, "grab")
+        self._push(now + transport, PRIO_POSE_READY, "pose-ready", (now, true_rel, self.displayed))
+        self._push(now + self.cfg.intrinsics.frame_period, PRIO_GRAB, "grab")
 
     def _on_pose_ready(self, now: float, capture_time, true_rel, displayed_at_capture):
         result = simulate_detection(
@@ -376,15 +333,11 @@ class _Engine:
             self._note_detect = f"no-detection:{result.reason}"
             return
         self.detections += 1
-        true_dist = float(np.linalg.norm(true_rel.translation))
+        true_dist = vector_norm(true_rel.translation)
         if self.max_detect_dist is None or true_dist > self.max_detect_dist:
             self.max_detect_dist = true_dist
-        stamp = stamp_validity(
-            capture_time,
-            displayed_at_capture.config_id,
-            result.computed_against,
-            self._timeline_for(capture_time),
-            self.scheme,
+        stamp = self.protocol.stamp(
+            capture_time, displayed_at_capture.config_id, result.computed_against
         )
         self.stamp_audit.append(
             (capture_time, displayed_at_capture.config_id, result.computed_against, stamp.reason)
@@ -441,30 +394,31 @@ class _Engine:
         timeline = schedule_update(
             now, sample, self.cfg.intrinsics.frame_period, self.cfg.delays.effective_safety_margin
         )
-        new_id = command.new_config.config_id
         if command.new_config.family.kind is not self.commanded.family.kind:
             self.family_switches += 1
         self.commanded = command.new_config
-        self.in_flight = (timeline, command)
-        self.timelines.append(timeline)
-        if len(self.timelines) > 8:
-            self.timelines.pop(0)
+        self.in_flight = command
         self.updates += 1
-        self.events.append(EventRecord(now, "command", new_id))
-        self._push(timeline.display_at, _PRIO_DISPLAY, "display", command)
-        self._push(timeline.confirm_at, _PRIO_CONFIRM, "confirmation", command)
-        self._push(
-            detector_switch_time(timeline, self.scheme), _PRIO_DETECTOR_UPDATE, "detector_update", command
-        )
-        self._push(
-            update_complete_time(timeline, self.scheme), _PRIO_UPDATE_COMPLETE, "update_complete", command
-        )
+        self.events.append(EventRecord(now, "command", command.new_config.config_id))
+        self.protocol.issue(timeline, command, self._push)
+
+    def _on_update_event(self, now: float, kind: str, command: MarkerCommand):
+        self.events.append(EventRecord(now, kind, command.new_config.config_id))
+        if kind == "display":
+            self.displayed = command.new_config
+        elif kind == "detector-update":
+            self.detector = apply_update(self.detector, command)
+        elif kind == "update-complete":
+            self.in_flight = None
+            if self.pending is not None:
+                proposal, self.pending = self.pending, None
+                self._start_update(proposal, now)
 
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> SimTrace:
         cfg = self.cfg
-        self._push(0.0, _PRIO_GRAB, "grab")
+        self._push(0.0, PRIO_GRAB, "grab")
         if cfg.landing_trigger_time is not None:
             self._push(cfg.landing_trigger_time, _PRIO_LANDING, "landing_trigger")
         self._push(cfg.duration, _PRIO_END, "end")
@@ -478,25 +432,13 @@ class _Engine:
                 break
             if kind == "grab":
                 self._on_grab(time)
-            elif kind == "pose_ready":
+            elif kind == "pose-ready":
                 self._on_pose_ready(time, *payload)
-            elif kind == "display":
-                self.displayed = payload.new_config
-                self.events.append(EventRecord(time, "display", payload.new_config.config_id))
-            elif kind == "confirmation":
-                self.events.append(EventRecord(time, "confirmation", payload.new_config.config_id))
-            elif kind == "detector_update":
-                self.detector = apply_update(self.detector, payload)
-                self.events.append(EventRecord(time, "detector-update", payload.new_config.config_id))
-            elif kind == "update_complete":
-                self.events.append(EventRecord(time, "update-complete", payload.new_config.config_id))
-                self.in_flight = None
-                if self.pending is not None:
-                    proposal, self.pending = self.pending, None
-                    self._start_update(proposal, time)
             elif kind == "landing_trigger":
                 self.landing = True
                 self._set_command(with_descent(self.cmd, cfg.descent_rate))
+            else:
+                self._on_update_event(time, kind, payload)
 
         if not self.records or self.records[-1].time < self.state.time - _TIME_EPS:
             self._record()
@@ -518,8 +460,8 @@ class _Engine:
             desired_yaw=cfg.desired_yaw,
             seed=cfg.seed,
             strategy=cfg.strategy,
-            scheme_requested=self.scheme_requested,
-            scheme_effective=self.scheme,
+            scheme_requested=cfg.timing_scheme,
+            scheme_effective=self.protocol.scheme,
             size_rule=cfg.size_rule,
         )
 

@@ -20,10 +20,16 @@ passed, wasting several frames per update. The optimized scheme, applicable
 when the display confirmation is the only meaningfully jittery delay, defers
 the detector update until just before ``pose_ready_at``; old-marker frames
 then keep producing valid poses and only one frame per update is lost.
+
+``UpdateProtocol`` holds the event order at equal timestamps, the events
+each update queues and the lookup of the window a capture falls in; the
+engine in ``markersim.simulation`` and ``replay_update_frames`` both drive it.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -322,6 +328,50 @@ def update_complete_time(timeline: UpdateTimeline, scheme: str) -> float:
     raise ValueError(f"unknown timing scheme '{scheme}'")
 
 
+# Event order at equal timestamps: a frame grabbed at the display instant
+# already shows the new marker, and a pose coming out at the detector-update
+# instant was still computed with the old parameters.
+PRIO_DISPLAY = 0
+PRIO_CONFIRM = 1
+PRIO_GRAB = 2
+PRIO_POSE_READY = 3
+PRIO_DETECTOR_UPDATE = 4
+PRIO_UPDATE_COMPLETE = 5
+
+
+class UpdateProtocol:
+    """The update protocol under one scheme. The driver owns the event queue,
+    grabs frames at ``PRIO_GRAB``, delivers poses at ``PRIO_POSE_READY`` and
+    acts on each protocol event as it pops."""
+
+    def __init__(self, scheme: str):
+        self.scheme = scheme
+        self.timelines = []  # recent update timelines, newest last
+
+    def issue(self, timeline: UpdateTimeline, payload, push):
+        """Queue the update's four events via ``push(time, prio, kind, payload)``."""
+        self.timelines.append(timeline)
+        if len(self.timelines) > 8:
+            self.timelines.pop(0)
+        push(timeline.display_at, PRIO_DISPLAY, "display", payload)
+        push(timeline.confirm_at, PRIO_CONFIRM, "confirmation", payload)
+        push(detector_switch_time(timeline, self.scheme), PRIO_DETECTOR_UPDATE, "detector-update",
+             payload)
+        push(update_complete_time(timeline, self.scheme), PRIO_UPDATE_COMPLETE, "update-complete",
+             payload)
+
+    def stamp(self, capture_time: float, displayed_id: int, computed_against: int) -> ValidityStamp:
+        """Stamp an estimate against the newest update whose window has opened
+        by its capture time."""
+        active = None
+        for timeline in reversed(self.timelines):
+            lo, hi = wait_window(timeline, self.scheme)
+            if capture_time >= lo:
+                active = timeline if capture_time < hi else None
+                break
+        return stamp_validity(capture_time, displayed_id, computed_against, active, self.scheme)
+
+
 @dataclass(frozen=True)
 class FrameOutcome:
     """One camera frame replayed through an update: what was displayed, what
@@ -339,49 +389,50 @@ class FrameOutcome:
 
 
 def replay_update_frames(
-    timeline: UpdateTimeline,
-    scheme: str,
-    frame_phase: float = 0.0,
-    old_config: int = 0,
-    new_config: int = 1,
-    horizon: float | None = None,
+    timeline: UpdateTimeline, scheme: str, frame_phase: float = 0.0
 ) -> list[FrameOutcome]:
-    """Enumerate the camera frames affected by one update and stamp each.
+    """Drive one update from config 0 to config 1 through ``UpdateProtocol``
+    and stamp every camera frame it affects.
 
     Frames are grabbed at ``frame_phase + k * frame_period`` and their poses
     come out one transport-plus-computation delay later, computed against
-    whatever the detector believes at that instant (a pose landing exactly on
-    the switch still uses the old parameters: captures are processed before
-    detector updates at equal timestamps). The update's own video/pose sample
-    is used for every frame; per-frame jitter is the engine's business.
-
-    Runs from one capture loop before the command (frames still in the pipe
-    when it is issued) to ``horizon`` (default: past every window).
+    whatever the detector believes at that instant. The update's own
+    video/pose sample is used for every frame; per-frame jitter is the
+    engine's business. Runs from one capture loop before the command (frames
+    still in the pipe when it is issued) until past every window.
     """
+    protocol = UpdateProtocol(scheme)
+    heap, seq = [], itertools.count()
+
+    def push(time, prio, kind, payload=None):
+        heapq.heappush(heap, (time, prio, next(seq), kind, payload))
+
+    protocol.issue(timeline, 1, push)
+    period = timeline.frame_period
     transport = timeline.sample.video + timeline.sample.pose
-    switch = detector_switch_time(timeline, scheme)
-    lo, hi = wait_window(timeline, scheme)
-    if horizon is None:
-        horizon = max(hi, switch - transport, timeline.pose_ready_at) + 2 * timeline.frame_period
-    start = timeline.issued_at - timeline.capture_pose_delay - timeline.frame_period
-    first_k = int(np.ceil((start - frame_phase) / timeline.frame_period))
-    outcomes = []
-    k = first_k
-    while True:
-        capture = frame_phase + k * timeline.frame_period
-        if capture > horizon:
-            break
-        ready = capture + transport
-        displayed = new_config if capture >= timeline.display_at else old_config
-        believed = new_config if ready > switch else old_config
-        outcomes.append(
-            FrameOutcome(
-                capture_time=capture,
-                ready_time=ready,
-                displayed_config=displayed,
-                believed_config=believed,
-                stamp=stamp_validity(capture, displayed, believed, timeline, scheme),
-            )
-        )
+    horizon = max(
+        wait_window(timeline, scheme)[1],
+        detector_switch_time(timeline, scheme) - transport,
+        timeline.pose_ready_at,
+    ) + 2 * period
+    start = timeline.issued_at - timeline.capture_pose_delay - period
+    k = int(np.ceil((start - frame_phase) / period))
+    while (capture := frame_phase + k * period) <= horizon:
+        push(capture, PRIO_GRAB, "grab")
         k += 1
+
+    displayed = believed = 0
+    outcomes = []
+    while heap:
+        time, _, _, kind, payload = heapq.heappop(heap)
+        if kind == "grab":
+            push(time + transport, PRIO_POSE_READY, "pose-ready", (time, displayed))
+        elif kind == "pose-ready":
+            capture, shown = payload
+            stamp = protocol.stamp(capture, shown, believed)
+            outcomes.append(FrameOutcome(capture, time, shown, believed, stamp))
+        elif kind == "display":
+            displayed = payload
+        elif kind == "detector-update":
+            believed = payload
     return outcomes

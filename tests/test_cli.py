@@ -79,6 +79,10 @@ MALFORMED = [
     ({"controller": {"gain": 10**400}}, "controller.gain"),
     ({"run": {"seed": 1.7}}, "run.seed"),
     ({"camera": {"width": 1.5}}, "camera.width"),
+    ({"controller": {"gain": float("nan")}}, "controller.gain"),
+    ({"camera": {"fx": float("inf")}}, "camera.fx"),
+    ({"delays": {"video": {"constant": float("nan")}}}, "delays.video.constant"),
+    ({"run": {"seed": -1}}, "run.seed"),
 ]
 
 

@@ -10,6 +10,7 @@ from markersim.geometry import (
     CameraIntrinsics,
     OutOfView,
     Pose,
+    _rotation_defect,
     angle_axis_to_rotation,
     compose,
     fov_half_angle,
@@ -19,6 +20,7 @@ from markersim.geometry import (
     rot_y,
     rot_z,
     rotation_to_angle_axis,
+    vector_norm,
 )
 
 # Hand-written literals, independent of the rot_* helpers.
@@ -76,6 +78,28 @@ class TestPose:
     def test_rejects_reflection(self):
         with pytest.raises(ValueError):
             Pose(np.diag([1.0, 1.0, -1.0]), np.zeros(3), "a", "b")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", [(0, 0), (1, 2), (2, 1)])
+    def test_rejects_non_finite_rotation(self, index, value):
+        bad = np.eye(3)
+        bad[index] = value
+        with pytest.raises(ValueError, match="rotation"):
+            Pose(bad, np.zeros(3), "a", "b")
+
+    def test_defect_matches_matrix_form(self):
+        # Reference: the largest entry of |R^T R - I| or |det R - 1|.
+        rng = np.random.default_rng(4)
+        for scale in (0.0, 1e-9, 1e-6, 1e-3, 1.0):
+            for _ in range(200):
+                r = random_rotation(rng) + scale * rng.normal(size=(3, 3))
+                ref = max(np.abs(r.T @ r - np.eye(3)).max(), abs(np.linalg.det(r) - 1.0))
+                assert _rotation_defect(r) == pytest.approx(ref, rel=1e-9, abs=1e-15)
+
+    def test_vector_norm_equals_numpy(self):
+        rng = np.random.default_rng(5)
+        for v in rng.normal(size=(500, 3)) * 10.0 ** rng.integers(-8, 8, size=(500, 1)):
+            assert vector_norm(v) == float(np.linalg.norm(v))
 
     def test_pose_invariants_tight(self):
         rng = np.random.default_rng(3)

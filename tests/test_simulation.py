@@ -1,5 +1,7 @@
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,6 +206,19 @@ class TestDeterminism:
             events_to_csv(trace, e)
             paths.append((t.read_bytes(), e.read_bytes()))
         assert paths[0] == paths[1]
+
+    def test_trace_header_is_readme_column_order(self, tmp_path):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Trace CSV columns", 1)[1].split("```")[1]
+        documented = [
+            name.strip()
+            for line in block.strip().splitlines()
+            for name in re.split(r"\s{2,}", line)[0].split(",")
+            if name.strip()
+        ]
+        path = tmp_path / "trace.csv"
+        trace_to_csv(run_scenario(replace(nominal_landing_scenario(), duration=0.05)), path)
+        assert path.read_text(encoding="utf-8").splitlines()[0].split(",") == documented
 
     def test_different_seeds_differ(self):
         base = nominal_landing_scenario()

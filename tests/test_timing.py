@@ -266,3 +266,64 @@ class TestSafetyProperty:
                 assert not (o.stamp.valid and o.mismatched)
                 mismatches += o.mismatched
         assert mismatches > 0  # the race actually occurred in the sample set
+
+
+def reference_replay(timeline, scheme, frame_phase):
+    """The protocol restated analytically, as a reference for the event-driven
+    replay: a frame shows the new marker iff it is captured at or after the
+    display instant, its pose is computed with the new parameters iff it comes
+    out strictly after the detector switch, and it is stamped against the one
+    update's window."""
+    period = timeline.frame_period
+    transport = timeline.sample.video + timeline.sample.pose
+    switch = detector_switch_time(timeline, scheme)
+    hi = wait_window(timeline, scheme)[1]
+    horizon = max(hi, switch - transport, timeline.pose_ready_at) + 2 * period
+    start = timeline.issued_at - timeline.capture_pose_delay - period
+    rows = []
+    k = int(np.ceil((start - frame_phase) / period))
+    while (capture := frame_phase + k * period) <= horizon:
+        ready = capture + transport
+        displayed = int(capture >= timeline.display_at)
+        believed = int(ready > switch)
+        stamp = stamp_validity(capture, displayed, believed, timeline, scheme)
+        rows.append((capture, ready, displayed, believed, stamp.reason))
+        k += 1
+    return rows
+
+
+def dyadic(x, q=2.0**-8):
+    return round(x / q) * q
+
+
+class TestReplayMatchesAnalyticReference:
+    @pytest.mark.parametrize("grid", [False, True], ids=["continuous", "dyadic"])
+    @pytest.mark.parametrize("phase", ["random", "zero"])
+    @pytest.mark.parametrize("scheme", ["safe", "optimized"])
+    def test_same_frames(self, scheme, phase, grid):
+        # On the dyadic grid every sum is exact, so captures land exactly on
+        # display instants and poses exactly on detector switches: the
+        # equal-timestamp event order decides those frames.
+        rng = np.random.default_rng(31)
+        display_ties = switch_ties = 0
+        for _ in range(500):
+            sample, frame = random_physical_sample(rng)
+            issued = rng.uniform(0.0, 2.0)
+            frame_phase = rng.uniform(0.0, frame) if phase == "random" else 0.0
+            if grid:
+                sample = DelaySample(*(dyadic(getattr(sample, f)) for f in (
+                    "detector_update", "display", "display_confirm", "video", "pose")))
+                frame, issued, frame_phase = dyadic(frame), dyadic(issued), dyadic(frame_phase)
+            timeline = schedule_update(issued, sample, frame)
+            expected = reference_replay(timeline, scheme, frame_phase)
+            got = [
+                (o.capture_time, o.ready_time, o.displayed_config, o.believed_config,
+                 o.stamp.reason)
+                for o in replay_update_frames(timeline, scheme, frame_phase)
+            ]
+            assert got == expected
+            switch = detector_switch_time(timeline, scheme)
+            display_ties += any(c == timeline.display_at for c, *_ in expected)
+            switch_ties += any(r == switch for _, r, *_ in expected)
+        if grid:
+            assert display_ties > 0 and switch_ties > 0
