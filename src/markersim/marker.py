@@ -107,15 +107,6 @@ class Screen:
         return min(self.width, self.height)
 
 
-@dataclass(frozen=True)
-class BoardCell:
-    """One square cell: center offset in screen coordinates plus edge length."""
-
-    center_x: float
-    center_y: float
-    size: float
-
-
 # Corner offsets of a cell in units of its half size, counter-clockwise.
 _CORNER_X = np.array([-1.0, 1.0, 1.0, -1.0])
 _CORNER_Y = np.array([-1.0, -1.0, 1.0, 1.0])
@@ -171,19 +162,21 @@ def _first_overlap(cells: np.ndarray) -> tuple[int, int] | None:
     return best
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkerConfig:
     """One displayable marker configuration (the 3D-model side of the
     detector parametrization).
 
     ``config_id`` increases by one with every issued update so that stale
-    detector state is identifiable.
+    detector state is identifiable. ``board`` takes any array-like of
+    (center_x, center_y, size) rows and is stored as a read-only (n, 3) float
+    array. Configs compare by identity: compare ``config_id`` instead.
     """
 
     config_id: int
     family: MarkerFamily
     marker_size: float
-    board: tuple[BoardCell, ...]
+    board: np.ndarray
     screen_limit: float
 
     def __post_init__(self):
@@ -193,29 +186,34 @@ class MarkerConfig:
             raise ValueError(
                 f"marker_size must lie in (0, {self.screen_limit}], got {self.marker_size}"
             )
-        if not self.board:
+        rows = "board must be an (n, 3) array of (center_x, center_y, size) rows"
+        try:
+            cells = np.array(self.board, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{rows}: {exc}") from exc
+        if cells.size == 0:
             raise ValueError("board must contain at least one cell")
-        board = tuple(self.board)
-        cells = np.array([(c.center_x, c.center_y, c.size) for c in board], dtype=float)
+        if cells.ndim != 2 or cells.shape[1] != 3:
+            raise ValueError(f"{rows}, got shape {cells.shape}")
         bad = ~(np.isfinite(cells).all(axis=1) & (cells[:, 2] > 0))
         if bad.any():
             i = int(bad.argmax())
-            c = board[i]
+            x, y, size = cells[i].tolist()
             raise ValueError(
-                f"board cell {i} at ({c.center_x}, {c.center_y}) with size {c.size}: "
+                f"board cell {i} at ({x}, {y}) with size {size}: "
                 "centers must be finite and sizes finite and positive"
             )
         pair = _first_overlap(cells)
         if pair is not None:
-            a, b = board[pair[0]], board[pair[1]]
+            (ax, ay, asize), (bx, by, bsize) = cells[list(pair)].tolist()
             raise ValueError(
-                f"board cells overlap: ({a.center_x}, {a.center_y}) and "
-                f"({b.center_x}, {b.center_y}) with sizes {a.size}, {b.size}"
+                f"board cells overlap: ({ax}, {ay}) and ({bx}, {by}) with sizes {asize}, {bsize}"
             )
+        cells.flags.writeable = False
         corners = board_corners(cells)
         corners.flags.writeable = False
-        object.__setattr__(self, "board", board)
-        # Not a field: equality, hashing and repr see only the board itself.
+        object.__setattr__(self, "board", cells)
+        # Not a field, so repr shows only the board itself.
         object.__setattr__(self, "_corners", corners)
 
     @classmethod
@@ -226,7 +224,7 @@ class MarkerConfig:
             config_id=config_id,
             family=family,
             marker_size=marker_size,
-            board=(BoardCell(0.0, 0.0, marker_size),),
+            board=((0.0, 0.0, marker_size),),
             screen_limit=screen_limit,
         )
 
@@ -284,8 +282,9 @@ def clamp_to_screen(desired_size: float, screen: Screen, fill_factor: float = 1.
     return min(desired_size, screen.min_dim * fill_factor)
 
 
-def board_layout(screen: Screen, cell_size: float, gap_fraction: float = 0.1) -> tuple[BoardCell, ...]:
-    """Regular centered grid of cells filling the screen.
+def board_layout(screen: Screen, cell_size: float, gap_fraction: float = 0.1) -> np.ndarray:
+    """Regular centered grid of cells filling the screen, as (n, 3) rows of
+    (center_x, center_y, size), row by row (y outer, x inner).
 
     floor(dim / (cell_size * (1 + gap_fraction))) cells per axis, at least one.
     All cells share the screen-centered coordinate frame.
@@ -301,14 +300,8 @@ def board_layout(screen: Screen, cell_size: float, gap_fraction: float = 0.1) ->
     # Epsilon guards the floor against float artifacts (0.15/0.05 < 3.0).
     nx = max(1, int(math.floor(screen.width / pitch + 1e-9)))
     ny = max(1, int(math.floor(screen.height / pitch + 1e-9)))
-    cells = []
-    for j in range(ny):
-        for i in range(nx):
-            cells.append(
-                BoardCell(
-                    center_x=(i - (nx - 1) / 2.0) * pitch,
-                    center_y=(j - (ny - 1) / 2.0) * pitch,
-                    size=cell_size,
-                )
-            )
-    return tuple(cells)
+    cells = np.empty((ny, nx, 3))
+    cells[:, :, 0] = (np.arange(nx) - (nx - 1) / 2.0) * pitch
+    cells[:, :, 1] = ((np.arange(ny) - (ny - 1) / 2.0) * pitch)[:, None]
+    cells[:, :, 2] = cell_size
+    return cells.reshape(-1, 3)

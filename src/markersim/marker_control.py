@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .geometry import CameraIntrinsics, fov_half_angle, vector_norm
 from .marker import (
-    BoardCell,
     FamilyKind,
     MarkerConfig,
     MarkerFamily,
@@ -47,25 +46,14 @@ class SwitchPolicy:
             raise ValueError(f"rescale_deadband must be >= 0, got {self.rescale_deadband}")
 
 
-@dataclass(frozen=True)
-class MarkerCommand:
-    """Request to put a new configuration on the screen, stamped at issue time."""
-
-    new_config: MarkerConfig
-    issued_at: float
-
-
 def bootstrap_config(
-    long_range: MarkerFamily, screen: Screen, fill_factor: float = 1.0, config_id: int = 0
+    family: MarkerFamily, screen: Screen, fill_factor: float = 1.0, config_id: int = 0
 ) -> MarkerConfig:
-    """Initial configuration: long-range family at maximum screen size, so the
-    very first detection succeeds from as far as possible."""
-    return MarkerConfig.single(
-        config_id=config_id,
-        family=long_range,
-        marker_size=screen.min_dim * fill_factor,
-        screen_limit=screen.min_dim * fill_factor,
-    )
+    """Initial configuration: one marker of ``family`` at maximum screen size;
+    with the long-range family the very first detection succeeds from as far
+    as possible."""
+    limit = screen.min_dim * fill_factor
+    return MarkerConfig.single(config_id, family, limit, limit)
 
 
 def select_marker(
@@ -76,11 +64,10 @@ def select_marker(
     current: MarkerConfig | None,
     long_range: MarkerFamily,
     full_pose: MarkerFamily,
-    now: float = 0.0,
     size_variant: str = "consistent",
     gap_fraction: float = 0.1,
     fill_factor: float = 1.0,
-) -> MarkerCommand | None:
+) -> MarkerConfig | None:
     """Decide the next marker configuration, or None for no change.
 
     Distance is the Euclidean camera-to-marker distance from the last valid
@@ -91,7 +78,7 @@ def select_marker(
     next_id = 0 if current is None else current.config_id + 1
     if estimate is None:
         if current is None:
-            return MarkerCommand(bootstrap_config(long_range, screen, fill_factor), now)
+            return bootstrap_config(long_range, screen, fill_factor)
         return None
 
     h = vector_norm(estimate.relative_pose.translation)
@@ -128,29 +115,26 @@ def select_marker(
     if kind is FamilyKind.SHORT_RANGE_FULL_POSE and screen_limit - size >= 2.0 * size:
         board = board_layout(screen, size, gap_fraction)
     else:
-        board = (BoardCell(0.0, 0.0, size),)
-    return MarkerCommand(
-        MarkerConfig(
-            config_id=next_id,
-            family=family,
-            marker_size=size,
-            board=board,
-            screen_limit=screen_limit,
-        ),
-        now,
+        board = ((0.0, 0.0, size),)
+    return MarkerConfig(
+        config_id=next_id,
+        family=family,
+        marker_size=size,
+        board=board,
+        screen_limit=screen_limit,
     )
 
 
-def apply_update(detector: DetectorParams, cmd: MarkerCommand) -> DetectorParams:
+def apply_update(detector: DetectorParams, config: MarkerConfig) -> DetectorParams:
     """Install a confirmed marker update into the detector.
 
     Updates must arrive in order, one config_id at a time; anything else is a
     protocol violation (the ordering is owned by the timing protocol).
     """
     expected = detector.believed_config.config_id + 1
-    got = cmd.new_config.config_id
+    got = config.config_id
     if got != expected:
         raise ValueError(
             f"marker update protocol violation: expected config_id {expected}, got {got}"
         )
-    return DetectorParams(believed_config=cmd.new_config, intrinsics=detector.intrinsics)
+    return DetectorParams(believed_config=config, intrinsics=detector.intrinsics)

@@ -48,15 +48,14 @@ class VelocityCommand:
 
     linear: np.ndarray
     angular: np.ndarray
-    stamp: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "linear", np.asarray(self.linear, dtype=float).reshape(3))
         object.__setattr__(self, "angular", np.asarray(self.angular, dtype=float).reshape(3))
 
     @classmethod
-    def zero(cls, stamp: float = 0.0) -> "VelocityCommand":
-        return cls(np.zeros(3), np.zeros(3), stamp)
+    def zero(cls) -> "VelocityCommand":
+        return cls(np.zeros(3), np.zeros(3))
 
     @property
     def is_finite(self) -> bool:
@@ -87,14 +86,14 @@ def compute_error(estimate: PoseEstimate, desired: Pose) -> FeatureVector:
 
 
 def control_law(
-    error: FeatureVector, gain: float, rotation_to_desired: np.ndarray, stamp: float = 0.0
+    error: FeatureVector, gain: float, rotation_to_desired: np.ndarray
 ) -> VelocityCommand:
     """Decoupled proportional velocity command from the feature error."""
     if gain <= 0:
         raise ValueError(f"gain must be > 0, got {gain}")
     v = -gain * (np.asarray(rotation_to_desired, dtype=float).T @ error.translation)
     w = -gain * error.rotation.as_vector()
-    return VelocityCommand(v, w, stamp)
+    return VelocityCommand(v, w)
 
 
 def clamp_command(

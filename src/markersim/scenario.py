@@ -81,8 +81,16 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError(f"duration must be > 0, got {self.duration}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # the float fields and the initial_position tuple
+            if isinstance(value, (float, tuple)) and not np.isfinite(value).all():
+                raise ValueError(f"'{f.name}' must be finite, got {value}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError(f"'seed' must be a non-negative int, got {self.seed!r}")
+        for name in ("duration", "descent_rate", "gain"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if not (0 < self.tick_step <= self.intrinsics.frame_period / 2.0):
             raise ValueError(
                 f"tick_step must lie in (0, frame_period/2] = "
@@ -91,10 +99,6 @@ class ScenarioConfig:
         _choice(TIMING_SCHEMES, self.timing_scheme, "timing_scheme")
         _choice(SIZE_RULES, self.size_rule, "size_rule")
         _choice(STRATEGIES, self.strategy, "strategy")
-        if self.descent_rate <= 0:
-            raise ValueError(f"descent_rate must be > 0, got {self.descent_rate}")
-        if self.gain <= 0:
-            raise ValueError(f"gain must be > 0, got {self.gain}")
         if self.delays.frame_period != self.intrinsics.frame_period:
             raise ValueError(
                 "delay model frame_period must equal the camera frame_period "

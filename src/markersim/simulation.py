@@ -14,13 +14,14 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .geometry import Pose, invert, orthonormalize, rot_x, rot_z, vector_norm
 from .marker import FamilyKind, MarkerConfig
-from .marker_control import MarkerCommand, apply_update, bootstrap_config, select_marker
+from .marker_control import apply_update, bootstrap_config, select_marker
 from .pbvs import VelocityCommand, clamp_command, control_law, error_and_rotation, with_descent
 from .perception import (
     DetectorParams,
@@ -96,8 +97,7 @@ def vehicle_step(state: VehicleState, cmd: VelocityCommand, dt: float) -> Vehicl
     )
 
 
-@dataclass(frozen=True)
-class TickRecord:
+class TickRecord(NamedTuple):
     """One trace row; est_* fields are the camera position in the marker frame
     according to the last estimate in this tick (None when there was none)."""
 
@@ -125,8 +125,7 @@ class TickRecord:
     landing: int
 
 
-@dataclass(frozen=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     """Marker-update-path event for the exportable protocol log."""
 
     time: float
@@ -162,7 +161,7 @@ class SimTrace:
     size_rule: str
 
 
-TRACE_COLUMNS = tuple(f.name for f in fields(TickRecord))
+TRACE_COLUMNS = TickRecord._fields
 
 
 class _Engine:
@@ -175,7 +174,14 @@ class _Engine:
             camera_pose_in_marker(0.0, 0.0, config.desired_height, config.desired_yaw, "camera_desired")
         )
 
-        initial = self._initial_config()
+        # dynamic and static-long-range both start from the long-range
+        # bootstrap so the first detection succeeds from far away
+        family = (
+            config.full_pose_family
+            if config.strategy == "static-full-pose"
+            else config.long_range_family
+        )
+        initial = bootstrap_config(family, config.screen, config.fill_factor)
         self.displayed = initial
         self.detector = DetectorParams(believed_config=initial, intrinsics=config.intrinsics)
         self.commanded = initial
@@ -191,8 +197,8 @@ class _Engine:
         self.w_applied = np.zeros(3)
         self.landing = False
         self.last_valid: PoseEstimate | None = None
-        self.in_flight: MarkerCommand | None = None
-        self.pending: MarkerCommand | None = None
+        self.in_flight: MarkerConfig | None = None
+        self.pending: MarkerConfig | None = None
 
         self.records: list[TickRecord] = []
         self.events: list[EventRecord] = []
@@ -212,19 +218,6 @@ class _Engine:
         self._next_record = 0.0
         self._heap = []
         self._seq = 0
-
-    # -- setup -----------------------------------------------------------
-
-    def _initial_config(self) -> MarkerConfig:
-        cfg = self.cfg
-        if cfg.strategy == "static-full-pose":
-            return MarkerConfig.single(
-                0, cfg.full_pose_family, cfg.screen.min_dim * cfg.fill_factor,
-                cfg.screen.min_dim * cfg.fill_factor,
-            )
-        # dynamic and static-long-range both start from the long-range
-        # bootstrap so the first detection succeeds from far away
-        return bootstrap_config(cfg.long_range_family, cfg.screen, cfg.fill_factor)
 
     def _push(self, time: float, prio: int, kind: str, payload=None):
         heapq.heappush(self._heap, (time, prio, self._seq, kind, payload))
@@ -353,7 +346,7 @@ class _Engine:
         self.last_valid = result
         error, rotation = error_and_rotation(result, self.desired)
         cmd = clamp_command(
-            control_law(error, self.cfg.gain, rotation, stamp=now),
+            control_law(error, self.cfg.gain, rotation),
             self.cfg.max_linear_speed,
             self.cfg.max_angular_speed,
         )
@@ -378,7 +371,6 @@ class _Engine:
                 self.commanded,
                 self.cfg.long_range_family,
                 self.cfg.full_pose_family,
-                now=now,
                 size_variant=self.cfg.size_rule,
                 gap_fraction=self.cfg.gap_fraction,
                 fill_factor=self.cfg.fill_factor,
@@ -389,25 +381,25 @@ class _Engine:
                 else:
                     self._start_update(proposal, now)
 
-    def _start_update(self, command: MarkerCommand, now: float):
+    def _start_update(self, marker: MarkerConfig, now: float):
         sample = self.cfg.delays.sample(self.rng)
         timeline = schedule_update(
             now, sample, self.cfg.intrinsics.frame_period, self.cfg.delays.effective_safety_margin
         )
-        if command.new_config.family.kind is not self.commanded.family.kind:
+        if marker.family.kind is not self.commanded.family.kind:
             self.family_switches += 1
-        self.commanded = command.new_config
-        self.in_flight = command
+        self.commanded = marker
+        self.in_flight = marker
         self.updates += 1
-        self.events.append(EventRecord(now, "command", command.new_config.config_id))
-        self.protocol.issue(timeline, command, self._push)
+        self.events.append(EventRecord(now, "command", marker.config_id))
+        self.protocol.issue(timeline, marker, self._push)
 
-    def _on_update_event(self, now: float, kind: str, command: MarkerCommand):
-        self.events.append(EventRecord(now, kind, command.new_config.config_id))
+    def _on_update_event(self, now: float, kind: str, marker: MarkerConfig):
+        self.events.append(EventRecord(now, kind, marker.config_id))
         if kind == "display":
-            self.displayed = command.new_config
+            self.displayed = marker
         elif kind == "detector-update":
-            self.detector = apply_update(self.detector, command)
+            self.detector = apply_update(self.detector, marker)
         elif kind == "update-complete":
             self.in_flight = None
             if self.pending is not None:
@@ -500,22 +492,13 @@ def collect_metrics(trace: SimTrace) -> dict:
     }
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def trace_to_csv(trace: SimTrace, path):
     """Write the per-tick records; one row per record, columns as documented
     in the README (SI units, radians)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_COLUMNS)
-        for r in trace.records:
-            writer.writerow([_fmt(getattr(r, c)) for c in TRACE_COLUMNS])
+        writer.writerows(trace.records)
 
 
 def events_to_csv(trace: SimTrace, path):
@@ -523,5 +506,4 @@ def events_to_csv(trace: SimTrace, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(("time", "event", "config_id"))
-        for e in trace.events:
-            writer.writerow([_fmt(e.time), e.kind, e.config_id])
+        writer.writerows(trace.events)

@@ -97,6 +97,31 @@ def test_malformed_value_is_config_error(doc, path, tmp_path, capsys):
     assert "error:" in err and "simulation failed" not in err
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("duration", NAN),
+        ("touchdown_height", NAN),
+        ("max_linear_speed", NAN),
+        ("gain", NAN),
+        ("descent_rate", NAN),
+        ("landing_trigger_time", NAN),
+        ("bounds_radius", INF),
+        ("initial_yaw", -INF),
+        ("initial_position", (0.4, NAN, 2.5)),
+        ("seed", -1),
+        ("seed", 1.5),
+        ("seed", True),
+    ],
+)
+def test_python_config_rejects_non_finite_values_and_bad_seed(field, value):
+    with pytest.raises(ValueError, match=f"^'?{field}'? must"):
+        dataclasses.replace(nominal_landing_scenario(), **{field: value})
+
+
 def _leaves(doc, path=""):
     """JSON leaf paths of a document, descending only into schema objects."""
     for key, value in doc.items():

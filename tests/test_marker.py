@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from markersim.marker import (
-    BoardCell,
     FamilyKind,
     MarkerConfig,
     MarkerFamily,
@@ -130,8 +129,7 @@ class TestClamp:
 class TestBoardLayout:
     def test_single_cell_when_cell_fills_screen(self):
         cells = board_layout(SQUARE_SCREEN, 0.15, gap_fraction=0.0)
-        assert len(cells) == 1
-        assert cells[0] == BoardCell(0.0, 0.0, 0.15)
+        assert cells.tolist() == [[0.0, 0.0, 0.15]]
 
     def test_three_by_three(self):
         assert len(board_layout(SQUARE_SCREEN, 0.05, gap_fraction=0.0)) == 9
@@ -154,10 +152,9 @@ class TestBoardLayout:
         screen = Screen(w, h)
         cells = board_layout(screen, frac * screen.min_dim, gap_fraction=gap)
         assert len(cells) >= 1
-        for c in cells:
-            assert abs(c.center_x) + c.size / 2 <= w / 2 + 1e-9
-            assert abs(c.center_y) + c.size / 2 <= h / 2 + 1e-9
-        x, y, size = np.array([(c.center_x, c.center_y, c.size) for c in cells]).T
+        x, y, size = cells.T
+        assert (np.abs(x) + size / 2 <= w / 2 + 1e-9).all()
+        assert (np.abs(y) + size / 2 <= h / 2 + 1e-9).all()
         # Every pair, in row blocks of at most ~2**20 pairs to bound memory.
         block = max(1, 2**20 // len(cells))
         for start in range(0, len(cells), block):
@@ -169,6 +166,34 @@ class TestBoardLayout:
             own = np.arange(apart.shape[0])
             apart[own, start + own] = True
             assert apart.all()
+
+    @given(
+        w=st.floats(0.05, 1.0),
+        h=st.floats(0.05, 1.0),
+        frac=st.floats(0.05, 1.0),
+        gap=st.floats(0.0, 0.99),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_cell_reference(self, w, h, frac, gap):
+        screen = Screen(w, h)
+        size = frac * screen.min_dim
+        cells = board_layout(screen, size, gap)
+        assert cells.dtype == np.float64 and cells.shape[1] == 3
+        expected = np.array(reference_board_layout(screen, size, gap))
+        assert cells.tobytes() == expected.tobytes()
+
+
+def reference_board_layout(screen, cell_size, gap_fraction):
+    """The per-cell layout loop: one (center_x, center_y, size) tuple per
+    cell, y outer and x inner."""
+    pitch = cell_size * (1.0 + gap_fraction)
+    nx = max(1, int(math.floor(screen.width / pitch + 1e-9)))
+    ny = max(1, int(math.floor(screen.height / pitch + 1e-9)))
+    return [
+        ((i - (nx - 1) / 2.0) * pitch, (j - (ny - 1) / 2.0) * pitch, cell_size)
+        for j in range(ny)
+        for i in range(nx)
+    ]
 
 
 class TestTypes:
@@ -209,7 +234,7 @@ class TestTypes:
                 config_id=0,
                 family=fam,
                 marker_size=0.05,
-                board=(BoardCell(0.0, 0.0, 0.05), BoardCell(0.01, 0.0, 0.05)),
+                board=((0.0, 0.0, 0.05), (0.01, 0.0, 0.05)),
                 screen_limit=0.15,
             )
 
@@ -219,46 +244,46 @@ def board_config(cells):
         config_id=0,
         family=MarkerFamily.full_pose_default(),
         marker_size=0.1,
-        board=tuple(cells),
+        board=cells,
         screen_limit=2.0,
     )
 
 
 def reference_overlap_error(cells):
     """The pairwise overlap check, one Python comparison per pair."""
-    for i, a in enumerate(cells):
-        for b in cells[i + 1 :]:
-            half = (a.size + b.size) / 2.0
-            if (
-                abs(a.center_x - b.center_x) < half - 1e-12
-                and abs(a.center_y - b.center_y) < half - 1e-12
-            ):
+    for i, (ax, ay, asize) in enumerate(cells):
+        for bx, by, bsize in cells[i + 1 :]:
+            half = (asize + bsize) / 2.0
+            if abs(ax - bx) < half - 1e-12 and abs(ay - by) < half - 1e-12:
                 return (
-                    f"board cells overlap: ({a.center_x}, {a.center_y}) and "
-                    f"({b.center_x}, {b.center_y}) with sizes {a.size}, {b.size}"
+                    f"board cells overlap: ({ax}, {ay}) and "
+                    f"({bx}, {by}) with sizes {asize}, {bsize}"
                 )
     return None
 
 
 class TestBoardCellValues:
     def test_first_bad_cell_in_board_order_is_named(self):
-        cells = [BoardCell(0.0, 0.0, -1.0), BoardCell(float("nan"), 0.0, 0.1)]
+        cells = [(0.0, 0.0, -1.0), (float("nan"), 0.0, 0.1)]
         with pytest.raises(ValueError, match=r"^board cell 0 at \(0\.0, 0\.0\) with size -1\.0:"):
             board_config(cells)
+        # values are printed as floats whatever the input type
+        with pytest.raises(ValueError, match=r"^board cell 0 at \(0\.0, 0\.0\) with size -1\.0:"):
+            board_config([(0, 0, -1)])
 
     @pytest.mark.parametrize(
         "bad",
         [
-            BoardCell(float("nan"), 0.0, 0.1),
-            BoardCell(0.0, float("inf"), 0.1),
-            BoardCell(0.5, 0.0, 0.0),
-            BoardCell(0.5, 0.0, float("nan")),
-            BoardCell(0.5, 0.0, float("inf")),
+            (float("nan"), 0.0, 0.1),
+            (0.0, float("inf"), 0.1),
+            (0.5, 0.0, 0.0),
+            (0.5, 0.0, float("nan")),
+            (0.5, 0.0, float("inf")),
         ],
     )
     def test_non_finite_or_non_positive_cell_rejected(self, bad):
         with pytest.raises(ValueError, match="^board cell 1 at"):
-            board_config([BoardCell(-0.5, 0.0, 0.1), bad, BoardCell(0.0, 0.0, -1.0)])
+            board_config([(-0.5, 0.0, 0.1), bad, (0.0, 0.0, -1.0)])
 
 
 class TestBoardOverlap:
@@ -266,11 +291,11 @@ class TestBoardOverlap:
         # Sorted by x, the (0.0, 0.01) pair comes first; in board order the
         # (0.5, 0.53) pair does.
         cells = [
-            BoardCell(0.5, 0.0, 0.1),
-            BoardCell(0.0, 0.0, 0.1),
-            BoardCell(0.52, 0.2, 0.1),
-            BoardCell(0.53, 0.0, 0.1),
-            BoardCell(0.01, 0.0, 0.1),
+            (0.5, 0.0, 0.1),
+            (0.0, 0.0, 0.1),
+            (0.52, 0.2, 0.1),
+            (0.53, 0.0, 0.1),
+            (0.01, 0.0, 0.1),
         ]
         with pytest.raises(ValueError) as err:
             board_config(cells)
@@ -280,10 +305,10 @@ class TestBoardOverlap:
 
     def test_abutting_cells_accepted(self):
         cells = [
-            BoardCell(0.0, 0.0, 0.1),
-            BoardCell(0.1, 0.0, 0.1),
-            BoardCell(0.1, 0.1, 0.1),
-            BoardCell(0.0, -0.1, 0.1),
+            (0.0, 0.0, 0.1),
+            (0.1, 0.0, 0.1),
+            (0.1, 0.1, 0.1),
+            (0.0, -0.1, 0.1),
         ]
         assert board_config(cells).n_cells == 4
         grid = board_layout(Screen(0.3, 0.2), 0.01, gap_fraction=0.0)
@@ -293,10 +318,10 @@ class TestBoardOverlap:
         # The overlapping pair is 0.28 apart in x, farther than the small
         # size, with two cells between them in x order.
         cells = [
-            BoardCell(0.1, 1.0, 0.1),
-            BoardCell(0.2, 1.0, 0.1),
-            BoardCell(0.0, 0.0, 0.5),
-            BoardCell(0.28, 0.0, 0.1),
+            (0.1, 1.0, 0.1),
+            (0.2, 1.0, 0.1),
+            (0.0, 0.0, 0.5),
+            (0.28, 0.0, 0.1),
         ]
         with pytest.raises(ValueError) as err:
             board_config(cells)
@@ -305,7 +330,7 @@ class TestBoardOverlap:
         )
 
     def test_one_cell_board_accepted(self):
-        assert board_config([BoardCell(0.3, -0.2, 0.1)]).n_cells == 1
+        assert board_config([(0.3, -0.2, 0.1)]).n_cells == 1
 
     @given(
         st.lists(
@@ -321,11 +346,44 @@ class TestBoardOverlap:
     @settings(max_examples=300, deadline=None)
     def test_matches_pairwise_reference(self, raw):
         # Centers on a 0.05 m lattice make abutting and equal-x cells common.
-        cells = [BoardCell(i * 0.05, j * 0.05, size) for i, j, size in raw]
+        cells = [(i * 0.05, j * 0.05, size) for i, j, size in raw]
         expected = reference_overlap_error(cells)
         if expected is None:
-            assert board_config(cells).board == tuple(cells)
+            assert board_config(cells).board.tolist() == [list(c) for c in cells]
         else:
             with pytest.raises(ValueError) as err:
                 board_config(cells)
             assert str(err.value) == expected
+
+
+class TestBoardArray:
+    @pytest.mark.parametrize(
+        "board, message",
+        [
+            ([(0.0, 0.1), (0.2, 0.1)], r"\(n, 3\) array .* got shape \(2, 2\)"),
+            ((0.0, 0.0, 0.1), r"\(n, 3\) array .* got shape \(3,\)"),
+            ([[(0.0, 0.0, 0.1)]], r"\(n, 3\) array .* got shape \(1, 1, 3\)"),
+            ([(0.0, 0.0, 0.1), (0.2, 0.0)], r"\(n, 3\) array"),
+            ([(0.0, 0.0, "x")], r"\(n, 3\) array"),
+            ((), "^board must contain at least one cell$"),
+            (np.empty((0, 3)), "^board must contain at least one cell$"),
+        ],
+    )
+    def test_malformed_board_rejected(self, board, message):
+        with pytest.raises(ValueError, match=message):
+            board_config(board)
+
+    def test_board_is_a_read_only_float_copy(self):
+        rows = np.array([[0, 0, 1], [2, 0, 1]])
+        config = board_config(rows)
+        rows[0, 0] = 5
+        assert config.board.dtype == np.float64
+        assert config.board.tolist() == [[0.0, 0.0, 1.0], [2.0, 0.0, 1.0]]
+        with pytest.raises(ValueError, match="read-only"):
+            config.board[0, 0] = 1.0
+        assert config.n_cells == len(config.board) == 2
+
+    def test_configs_compare_by_identity(self):
+        config = board_config([(0.0, 0.0, 0.1)])
+        assert config == config and config != board_config([(0.0, 0.0, 0.1)])
+        assert len({config, config}) == 1

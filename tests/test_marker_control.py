@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from markersim.geometry import CameraIntrinsics, Pose, rot_x
 from markersim.marker import FamilyKind, MarkerConfig, MarkerFamily, Screen
 from markersim.marker_control import (
-    MarkerCommand,
     SwitchPolicy,
     apply_update,
     bootstrap_config,
@@ -51,13 +50,13 @@ class TestFamilySelection:
         assert select(estimate_at(2.0), long_range_current()) is None
 
     def test_far_switches_back_from_full_pose(self):
-        cmd = select(estimate_at(2.0), full_pose_current())
-        assert cmd.new_config.family.kind is FamilyKind.LONG_RANGE_POSITION_ONLY
+        new = select(estimate_at(2.0), full_pose_current())
+        assert new.family.kind is FamilyKind.LONG_RANGE_POSITION_ONLY
 
     def test_close_switches_to_full_pose(self):
-        cmd = select(estimate_at(1.0), long_range_current())
-        assert cmd.new_config.family.kind is FamilyKind.SHORT_RANGE_FULL_POSE
-        assert cmd.new_config.config_id == 1
+        new = select(estimate_at(1.0), long_range_current())
+        assert new.family.kind is FamilyKind.SHORT_RANGE_FULL_POSE
+        assert new.config_id == 1
 
     def test_hysteresis_band_keeps_current_family(self):
         assert select(estimate_at(1.3), full_pose_current()) is None
@@ -73,8 +72,7 @@ class TestFamilySelection:
 
 class TestBootstrap:
     def test_no_estimate_no_current_emits_long_range_max(self):
-        cmd = select(None, None)
-        cfg = cmd.new_config
+        cfg = select(None, None)
         assert cfg.config_id == 0
         assert cfg.family.kind is FamilyKind.LONG_RANGE_POSITION_ONLY
         assert cfg.marker_size == pytest.approx(0.15)
@@ -90,8 +88,8 @@ class TestBootstrap:
 
 class TestSizing:
     def test_sizes_clamped_to_screen(self):
-        cmd = select(estimate_at(1.0), long_range_current())
-        assert cmd.new_config.marker_size <= 0.15 + 1e-12
+        new = select(estimate_at(1.0), long_range_current())
+        assert new.marker_size <= 0.15 + 1e-12
 
     def test_deadband_suppresses_small_rescale(self):
         # 2*h*tan(0.5*fov/2) with fov = 2*atan(0.48): size(h) ~ 0.4551*h;
@@ -99,34 +97,33 @@ class TestSizing:
         assert select(estimate_at(0.31), full_pose_current()) is None
 
     def test_large_rescale_commands_update(self):
-        cmd = select(estimate_at(0.22), full_pose_current())
-        assert cmd is not None
-        assert cmd.new_config.marker_size < 0.15
+        new = select(estimate_at(0.22), full_pose_current())
+        assert new is not None
+        assert new.marker_size < 0.15
 
     def test_board_fill_in_when_cells_fit(self):
-        cmd = select(estimate_at(0.1), full_pose_current())
-        cfg = cmd.new_config
+        cfg = select(estimate_at(0.1), full_pose_current())
         assert cfg.family.kind is FamilyKind.SHORT_RANGE_FULL_POSE
         assert cfg.n_cells > 1
-        assert cfg.marker_size == pytest.approx(cfg.board[0].size)
+        assert cfg.marker_size == pytest.approx(cfg.board[0, 2])
 
     def test_family_change_overrides_deadband(self):
         # at 1.0 m the clamped size equals the current 0.15, but the family
         # differs, so a command is still issued
-        cmd = select(estimate_at(1.0), long_range_current())
-        assert cmd is not None
-        assert cmd.new_config.marker_size == pytest.approx(0.15)
+        new = select(estimate_at(1.0), long_range_current())
+        assert new is not None
+        assert new.marker_size == pytest.approx(0.15)
 
     @given(h=st.floats(0.01, 20.0))
     @settings(max_examples=150, deadline=None)
     def test_never_exceeds_screen_limit(self, h):
-        cmd = select(estimate_at(h), full_pose_current())
-        if cmd is not None:
-            assert cmd.new_config.marker_size <= 0.15 + 1e-12
+        new = select(estimate_at(h), full_pose_current())
+        if new is not None:
+            assert new.marker_size <= 0.15 + 1e-12
 
     def test_verbatim_size_rule_selectable(self):
-        cmd = select(estimate_at(0.1), full_pose_current(), size_variant="verbatim")
-        assert cmd is not None
+        new = select(estimate_at(0.1), full_pose_current(), size_variant="verbatim")
+        assert new is not None
 
 
 class TestDescentProperties:
@@ -138,21 +135,21 @@ class TestDescentProperties:
             switches = []
             for h in np.linspace(2.5, 0.05, 400):
                 est = estimate_at(max(0.01, h + rng.normal() * sigma))
-                cmd = select(est, current)
-                if cmd is not None:
-                    if cmd.new_config.family.kind is not current.family.kind:
-                        switches.append(cmd.new_config.family.kind)
-                    current = cmd.new_config
+                new = select(est, current)
+                if new is not None:
+                    if new.family.kind is not current.family.kind:
+                        switches.append(new.family.kind)
+                    current = new
             assert switches == [FamilyKind.SHORT_RANGE_FULL_POSE]
 
     def test_sizes_non_increasing_in_noiseless_full_pose_descent(self):
         current = full_pose_current()
         sizes = [current.marker_size]
         for h in np.linspace(1.1, 0.05, 200):
-            cmd = select(estimate_at(h), current)
-            if cmd is not None:
-                sizes.append(cmd.new_config.marker_size)
-                current = cmd.new_config
+            new = select(estimate_at(h), current)
+            if new is not None:
+                sizes.append(new.marker_size)
+                current = new
         assert all(b <= a + 1e-12 for a, b in zip(sizes, sizes[1:]))
         assert len(sizes) > 3  # the scale rule actually engaged
 
@@ -162,19 +159,17 @@ class TestApplyUpdate:
         return DetectorParams(long_range_current(config_id), K)
 
     def test_in_order_update(self):
-        cmd = MarkerCommand(long_range_current(5), 0.0)
-        updated = apply_update(self.detector(4), cmd)
-        assert updated.believed_config.config_id == 5
+        config = long_range_current(5)
+        updated = apply_update(self.detector(4), config)
+        assert updated.believed_config is config
 
     def test_gap_rejected(self):
-        cmd = MarkerCommand(long_range_current(6), 0.0)
         with pytest.raises(ValueError, match="protocol violation"):
-            apply_update(self.detector(4), cmd)
+            apply_update(self.detector(4), long_range_current(6))
 
     def test_duplicate_rejected(self):
-        cmd = MarkerCommand(long_range_current(4), 0.0)
         with pytest.raises(ValueError, match="protocol violation"):
-            apply_update(self.detector(4), cmd)
+            apply_update(self.detector(4), long_range_current(4))
 
 
 class TestPolicyValidation:

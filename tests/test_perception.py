@@ -15,7 +15,6 @@ from markersim.geometry import (
     rot_z,
 )
 from markersim.marker import (
-    BoardCell,
     MarkerConfig,
     MarkerFamily,
     NoiseProfile,
@@ -204,13 +203,14 @@ class TestEstimates:
 
 def reference_project_cell(true_pose, cell, k):
     """Project one cell; returns (fully_visible, footprint_px or None)."""
-    h = cell.size / 2.0
+    center_x, center_y, size = cell
+    h = size / 2.0
     corners = np.array(
         [
-            [cell.center_x - h, cell.center_y - h, 0.0],
-            [cell.center_x + h, cell.center_y - h, 0.0],
-            [cell.center_x + h, cell.center_y + h, 0.0],
-            [cell.center_x - h, cell.center_y + h, 0.0],
+            [center_x - h, center_y - h, 0.0],
+            [center_x + h, center_y - h, 0.0],
+            [center_x + h, center_y + h, 0.0],
+            [center_x - h, center_y + h, 0.0],
         ]
     )
     corners_cam = (true_pose.rotation @ corners.T).T + true_pose.translation
@@ -291,7 +291,7 @@ def camera_poses(draw):
 def boards(draw):
     kind = draw(st.sampled_from(["single", "grid", "scattered"]))
     if kind == "single":
-        return (BoardCell(0.0, 0.0, draw(st.floats(0.005, 1.0))),)
+        return ((0.0, 0.0, draw(st.floats(0.005, 1.0))),)
     if kind == "grid":
         # At most 32 x 32 cells: the screen holds nx + 0.5 pitches per axis.
         size = draw(st.floats(0.002, 0.3))
@@ -310,7 +310,7 @@ def boards(draw):
         )
     )
     return tuple(
-        BoardCell(i * 0.3, j * 0.3, draw(st.floats(0.01, 0.3))) for i, j in sites
+        (i * 0.3, j * 0.3, draw(st.floats(0.01, 0.3))) for i, j in sites
     )
 
 
@@ -328,7 +328,7 @@ class TestBoardProjectionMatchesScalarReference:
                  else MarkerFamily.full_pose_default())
         other = (MarkerFamily.full_pose_default() if long_range
                  else MarkerFamily.long_range_default())
-        size = max(c.size for c in board)
+        size = max(cell[2] for cell in board)
         displayed = MarkerConfig(0, noisy, size, board, screen_limit=2.0)
         believed = single(noisy if same_family else other, 0.5, config_id=3)
         det = detector_for(believed)
@@ -357,7 +357,7 @@ class TestBoardProjectionMatchesScalarReference:
     @given(pose=camera_poses(), size=st.floats(0.005, 1.0))
     @settings(max_examples=100, deadline=None)
     def test_pixel_footprint_matches_reference(self, pose, size):
-        _, expected = reference_project_cell(pose, BoardCell(0.0, 0.0, size), K)
+        _, expected = reference_project_cell(pose, (0.0, 0.0, size), K)
         if expected is None:
             with pytest.raises(ValueError, match="behind"):
                 pixel_footprint(pose, size, K)

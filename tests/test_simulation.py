@@ -1,3 +1,4 @@
+import csv
 import math
 import re
 from dataclasses import replace
@@ -10,6 +11,7 @@ from markersim.marker import NoiseProfile
 from markersim.pbvs import VelocityCommand
 from markersim.scenario import nominal_landing_scenario
 from markersim.simulation import (
+    TRACE_COLUMNS,
     SimTrace,
     VehicleState,
     camera_pose_in_marker,
@@ -206,6 +208,32 @@ class TestDeterminism:
             events_to_csv(trace, e)
             paths.append((t.read_bytes(), e.read_bytes()))
         assert paths[0] == paths[1]
+
+    def test_csv_cells_round_trip_every_value(self, landing_trace, tmp_path):
+        trace_path, events_path = tmp_path / "trace.csv", tmp_path / "events.csv"
+        trace_to_csv(landing_trace, trace_path)
+        events_to_csv(landing_trace, events_path)
+        kinds = set()
+        for path, header, records in (
+            (trace_path, TRACE_COLUMNS, landing_trace.records),
+            (events_path, ("time", "event", "config_id"), landing_trace.events),
+        ):
+            with open(path, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == list(header)
+            assert len(rows) == len(records) + 1
+            for record, row in zip(records, rows[1:]):
+                assert len(row) == len(record)
+                for value, cell in zip(record, row):
+                    kinds.add(type(value))
+                    if value is None:
+                        assert cell == ""
+                    elif type(value) is float:
+                        assert float(cell).hex() == value.hex()
+                    else:
+                        assert type(value) in (int, str) and cell == str(value)
+        # every kind of cell occurs, and no other
+        assert kinds == {type(None), float, int, str}
 
     def test_trace_header_is_readme_column_order(self, tmp_path):
         readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
