@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .domain import Positive, PositiveInt, check_fields
+
 # Construction accepts rotations up to this far from orthonormal; values
 # produced by the library itself stay within 1e-9.
 ORTHONORMAL_TOL = 1e-6
@@ -220,23 +222,22 @@ def rotation_to_angle_axis(r: np.ndarray) -> AngleAxis:
 class CameraIntrinsics:
     """Pinhole intrinsics plus the camera frame period in seconds."""
 
-    fx: float
-    fy: float
-    cx: float
-    cy: float
-    width: int
-    height: int
-    frame_period: float
+    fx: Positive
+    fy: Positive
+    cx: Positive
+    cy: Positive
+    width: PositiveInt
+    height: PositiveInt
+    frame_period: Positive
 
     def __post_init__(self):
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
-        if not (0 < self.cx < self.width):
+        check_fields(self)
+        if self.cx >= self.width:
             raise ValueError(f"principal point cx={self.cx} outside (0, {self.width})")
-        if not (0 < self.cy < self.height):
+        if self.cy >= self.height:
             raise ValueError(f"principal point cy={self.cy} outside (0, {self.height})")
-        if self.frame_period <= 0:
-            raise ValueError(f"frame_period must be positive, got {self.frame_period}")
+        if not fov_half_angle(self) < math.pi / 2.0:
+            raise ValueError(f"field of view must be below pi, got fx={self.fx}, fy={self.fy}")
 
 
 @dataclass(frozen=True)

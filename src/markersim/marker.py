@@ -10,8 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Annotated
 
 import numpy as np
+
+from .domain import Domain, NonNegative, Positive, check_fields
 
 
 class FamilyKind(str, Enum):
@@ -25,14 +28,11 @@ class FamilyKind(str, Enum):
 class NoiseProfile:
     """Position/angle noise that scales with distance: sigma(h) = s1 * h**exp."""
 
-    sigma_at_1m: float
-    range_exponent: float
+    sigma_at_1m: Annotated[float, Domain("[0, 1e6]")]
+    range_exponent: Annotated[float, Domain("[0, 10]")]
 
     def __post_init__(self):
-        if self.sigma_at_1m < 0:
-            raise ValueError(f"sigma_at_1m must be >= 0, got {self.sigma_at_1m}")
-        if self.range_exponent < 0:
-            raise ValueError(f"range_exponent must be >= 0, got {self.range_exponent}")
+        check_fields(self)
 
     def sigma_at(self, distance: float) -> float:
         if distance < 0:
@@ -51,17 +51,14 @@ class MarkerFamily:
     """
 
     kind: FamilyKind
-    max_detection_range: float
-    min_pixel_footprint: float
+    max_detection_range: Annotated[float, Domain("(0, 1e6]")]
+    min_pixel_footprint: Annotated[float, Domain("[1, inf)")]
     yields_yaw: bool
     position_noise: NoiseProfile
     yaw_noise: NoiseProfile | None = None
 
     def __post_init__(self):
-        if self.max_detection_range <= 0:
-            raise ValueError(f"max_detection_range must be > 0, got {self.max_detection_range}")
-        if self.min_pixel_footprint < 1:
-            raise ValueError(f"min_pixel_footprint must be >= 1, got {self.min_pixel_footprint}")
+        check_fields(self)
         if not self.yields_yaw and self.yaw_noise is not None:
             raise ValueError("yaw_noise must be absent when the family yields no yaw")
 
@@ -92,15 +89,12 @@ class MarkerFamily:
 class Screen:
     """Physical display surface; refresh_delay feeds the display latency."""
 
-    width: float
-    height: float
-    refresh_delay: float = 0.0
+    width: Positive
+    height: Positive
+    refresh_delay: NonNegative = 0.0
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"screen dimensions must be positive, got {self.width}x{self.height}")
-        if self.refresh_delay < 0:
-            raise ValueError(f"refresh_delay must be >= 0, got {self.refresh_delay}")
+        check_fields(self)
 
     @property
     def min_dim(self) -> float:
@@ -282,12 +276,17 @@ def clamp_to_screen(desired_size: float, screen: Screen, fill_factor: float = 1.
     return min(desired_size, screen.min_dim * fill_factor)
 
 
+# A large screen over a close camera would otherwise ask for billions of cells.
+MAX_BOARD_CELLS = 10_000
+
+
 def board_layout(screen: Screen, cell_size: float, gap_fraction: float = 0.1) -> np.ndarray:
     """Regular centered grid of cells filling the screen, as (n, 3) rows of
     (center_x, center_y, size), row by row (y outer, x inner).
 
-    floor(dim / (cell_size * (1 + gap_fraction))) cells per axis, at least one.
-    All cells share the screen-centered coordinate frame.
+    floor(dim / (cell_size * (1 + gap_fraction))) cells per axis, at least one
+    and at most MAX_BOARD_CELLS in all (x first). All cells share the
+    screen-centered coordinate frame.
     """
     if cell_size <= 0 or cell_size > screen.min_dim:
         raise ValueError(
@@ -298,8 +297,8 @@ def board_layout(screen: Screen, cell_size: float, gap_fraction: float = 0.1) ->
         raise ValueError(f"gap_fraction must lie in [0, 1), got {gap_fraction}")
     pitch = cell_size * (1.0 + gap_fraction)
     # Epsilon guards the floor against float artifacts (0.15/0.05 < 3.0).
-    nx = max(1, int(math.floor(screen.width / pitch + 1e-9)))
-    ny = max(1, int(math.floor(screen.height / pitch + 1e-9)))
+    nx = max(1, int(min(MAX_BOARD_CELLS, screen.width / pitch + 1e-9)))
+    ny = max(1, int(min(MAX_BOARD_CELLS // nx, screen.height / pitch + 1e-9)))
     cells = np.empty((ny, nx, 3))
     cells[:, :, 0] = (np.arange(nx) - (nx - 1) / 2.0) * pitch
     cells[:, :, 1] = ((np.arange(ny) - (ny - 1) / 2.0) * pitch)[:, None]

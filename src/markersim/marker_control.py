@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .domain import Fraction, NonNegative, Positive, check_fields
 from .geometry import CameraIntrinsics, fov_half_angle, vector_norm
 from .marker import (
     FamilyKind,
@@ -29,21 +30,18 @@ class SwitchPolicy:
     """Family switch thresholds (with hysteresis band), scale fraction for the
     size rule, and the relative size deadband that limits update traffic."""
 
-    switch_to_full_pose_below: float = 1.2
-    switch_to_long_range_above: float = 1.4
-    scale_fraction: float = 0.5
-    rescale_deadband: float = 0.15
+    switch_to_full_pose_below: Positive = 1.2
+    switch_to_long_range_above: Positive = 1.4
+    scale_fraction: Fraction = 0.5
+    rescale_deadband: NonNegative = 0.15
 
     def __post_init__(self):
-        if not (self.switch_to_full_pose_below < self.switch_to_long_range_above):
+        check_fields(self)
+        if self.switch_to_full_pose_below >= self.switch_to_long_range_above:
             raise ValueError(
                 f"hysteresis band is inverted: down-switch {self.switch_to_full_pose_below} "
                 f"must lie below up-switch {self.switch_to_long_range_above}"
             )
-        if not (0.0 < self.scale_fraction <= 1.0):
-            raise ValueError(f"scale_fraction must lie in (0, 1], got {self.scale_fraction}")
-        if self.rescale_deadband < 0:
-            raise ValueError(f"rescale_deadband must be >= 0, got {self.rescale_deadband}")
 
 
 def bootstrap_config(

@@ -1,11 +1,11 @@
 """Scenario configuration: everything a simulation run needs, with a strict
 JSON loader (unknown keys are rejected so typos fail fast, all quantities SI,
-angles in radians). Every value is checked by the one table ``_SCHEMA``:
-numbers are finite; ``camera.width``, ``camera.height`` and ``run.seed`` are
-integers, the seed non-negative; ``null`` is allowed only for ``landing.*``,
-``delays.safety_margin`` and, meaning its defaults, a family or noise
-profile; a malformed value is a configuration error (a ValueError naming its
-JSON path).
+angles in radians). Each field declares its domain once, in its annotation,
+and every config checks its fields against those declarations when built.
+The JSON walker parses each leaf's type from the one table ``_SCHEMA`` and
+checks the value against the declaration of the attribute it sets, so a
+malformed or out-of-range value is a ValueError naming its JSON path. A
+``null`` family or noise profile means its defaults.
 
 An empty JSON document gives the bundled landing scenario: a 30 Hz VGA camera
 over a 15 cm display, long-range marker bootstrap, family switch at 1.2 m
@@ -18,11 +18,13 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
+from typing import Annotated
 
 import numpy as np
 
-from .geometry import CameraIntrinsics
+from .domain import (Domain, Finite, Fraction, NonNegative, OptionalNonNegative, Positive,
+                     check_fields, declared)
+from .geometry import CameraIntrinsics, fov_half_angle
 from .marker import MarkerFamily, NoiseProfile, Screen
 from .marker_control import SwitchPolicy
 from .timing import DelayModel, DelaySpec
@@ -55,50 +57,53 @@ class ScenarioConfig:
         frame_period=1.0 / 30.0,
         safety_margin=None,
     )
-    gain: float = 0.8
-    max_linear_speed: float = 1.0
-    max_angular_speed: float = 1.0
-    descent_rate: float = 0.3
-    command_lag: float = 0.0
-    initial_position: tuple[float, float, float] = (0.4, -0.3, 2.5)
-    initial_yaw: float = math.radians(30.0)
-    desired_height: float = 2.5
-    desired_yaw: float = 0.0
-    landing_trigger_time: float | None = None
-    landing_error_threshold: float | None = 0.10
-    duration: float = 60.0
-    tick_step: float = 0.01
-    timing_scheme: str = "optimized"
-    size_rule: str = "consistent"
-    strategy: str = "dynamic"
-    touchdown_height: float = 0.02
-    bounds_radius: float = 10.0
-    bounds_height: float = 30.0
-    batch_offset_radius: float = 0.5
-    batch_yaw_half_range: float = math.radians(45.0)
-    gap_fraction: float = 0.1
-    fill_factor: float = 1.0
-    seed: int = 0
+    gain: Annotated[float, Domain("(0, 1e6]")] = 0.8
+    max_linear_speed: Positive = 1.0
+    max_angular_speed: Positive = 1.0
+    descent_rate: Positive = 0.3
+    command_lag: NonNegative = 0.0
+    initial_position: Annotated[tuple[float, float, float], Domain("[-1e6, 1e6]")] = (0.4, -0.3, 2.5)
+    initial_yaw: Finite = math.radians(30.0)
+    desired_height: Annotated[float, Domain("(0, 1e6]")] = 2.5
+    desired_yaw: Finite = 0.0
+    landing_trigger_time: OptionalNonNegative = None
+    landing_error_threshold: Annotated[float | None, Domain("(0, inf)", optional=True)] = 0.10
+    duration: Positive = 60.0
+    tick_step: Positive = 0.01
+    timing_scheme: Annotated[str, Domain(choices=TIMING_SCHEMES)] = "optimized"
+    size_rule: Annotated[str, Domain(choices=SIZE_RULES)] = "consistent"
+    strategy: Annotated[str, Domain(choices=STRATEGIES)] = "dynamic"
+    touchdown_height: Positive = 0.02
+    bounds_radius: Positive = 10.0
+    bounds_height: Positive = 30.0
+    batch_offset_radius: NonNegative = 0.5
+    batch_yaw_half_range: Annotated[float, Domain(f"[0, {math.pi}]")] = math.radians(45.0)
+    gap_fraction: Annotated[float, Domain("[0, 1)")] = 0.1
+    fill_factor: Fraction = 1.0
+    seed: Annotated[int, Domain("[0, inf)", integer=True)] = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # the float fields and the initial_position tuple
-            if isinstance(value, (float, tuple)) and not np.isfinite(value).all():
-                raise ValueError(f"'{f.name}' must be finite, got {value}")
-        if type(self.seed) is not int or self.seed < 0:
-            raise ValueError(f"'seed' must be a non-negative int, got {self.seed!r}")
-        for name in ("duration", "descent_rate", "gain"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not (0 < self.tick_step <= self.intrinsics.frame_period / 2.0):
+        check_fields(self)
+        if self.tick_step > self.intrinsics.frame_period / 2.0:
             raise ValueError(
                 f"tick_step must lie in (0, frame_period/2] = "
                 f"(0, {self.intrinsics.frame_period / 2.0:.6g}], got {self.tick_step}"
             )
-        _choice(TIMING_SCHEMES, self.timing_scheme, "timing_scheme")
-        _choice(SIZE_RULES, self.size_rule, "size_rule")
-        _choice(STRATEGIES, self.strategy, "strategy")
+        if self.max_angular_speed * self.tick_step > 0.1:
+            # one Euler step plus orthonormalization stays a rotation up to ~0.1 rad
+            raise ValueError(
+                f"max_angular_speed * tick_step must be <= 0.1 rad, got "
+                f"{self.max_angular_speed} * {self.tick_step}"
+            )
+        if self.size_rule == "verbatim" and not (
+            2.0 * fov_half_angle(self.intrinsics) * self.policy.scale_fraction < math.pi / 2.0
+        ):
+            raise ValueError("the verbatim size rule needs fov * scale_fraction < pi/2")
+        if not self.screen.min_dim * self.fill_factor > 0:
+            raise ValueError(
+                f"the largest marker, screen.min_dim * fill_factor, must be > 0, got "
+                f"{self.screen.min_dim} * {self.fill_factor}"
+            )
         if self.delays.frame_period != self.intrinsics.frame_period:
             raise ValueError(
                 "delay model frame_period must equal the camera frame_period "
@@ -112,23 +117,15 @@ def nominal_landing_scenario(**overrides) -> ScenarioConfig:
 
 
 # --- strict JSON parsing ----------------------------------------------------
-# A leaf parser returns the value to store or raises a ValueError naming the path.
+# A leaf parser checks the JSON type and returns the value to store, or raises
+# a ValueError naming the path; _walk then checks it against the declaration
+# of the attribute it sets.
 
 
-def _is_number(value) -> bool:
-    if isinstance(value, float):
-        return math.isfinite(value)  # json parses NaN and Infinity
-    return type(value) is int and abs(value) <= sys.float_info.max
-
-
-def _number(value, path: str) -> float:
-    if not _is_number(value):
-        raise ValueError(f"'{path}' must be a finite number, got {value!r}")
+def _number(value, path: str, kind: str = "a number") -> float:
+    if not (isinstance(value, float) or (type(value) is int and abs(value) <= sys.float_info.max)):
+        raise ValueError(f"'{path}' must be {kind}, got {value!r}")
     return float(value)
-
-
-def _optional_number(value, path: str) -> float | None:
-    return None if value is None else _number(value, path)
 
 
 def _integer(value, path: str) -> int:
@@ -139,23 +136,14 @@ def _integer(value, path: str) -> int:
     return int(value)
 
 
-def _seed(value, path: str) -> int:
-    seed = _integer(value, path)
-    if seed < 0:
-        raise ValueError(f"'{path}' must be >= 0, got {value!r}")
-    return seed
-
-
 def _boolean(value, path: str) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"'{path}' must be a boolean, got {value!r}")
     return value
 
 
-def _choice(choices: tuple, value, path: str) -> str:
-    if value not in choices:
-        raise ValueError(f"'{path}' must be one of {choices}, got {value!r}")
-    return value
+def _as_is(value, path: str):
+    return value  # the field's declared choices are its only type
 
 
 def _vector(value, path: str, count: int = 3, shape: str = "a 3-element list") -> tuple[float, ...]:
@@ -165,16 +153,23 @@ def _vector(value, path: str, count: int = 3, shape: str = "a 3-element list") -
 
 
 def _delay_spec(value, path: str) -> DelaySpec:
-    if _is_number(value):
-        return DelaySpec.constant(float(value))
+    high = None
     if isinstance(value, dict) and value:
         _check_object(value, ("constant", "uniform"), path)
         if len(value) > 1:
             raise ValueError(f"'{path}' must give either 'constant' or 'uniform', not both")
-        if "constant" in value:
-            return DelaySpec.constant(_number(value["constant"], f"{path}.constant"))
-        return DelaySpec.uniform(*_vector(value["uniform"], f"{path}.uniform", 2, "a [lo, hi] list"))
-    raise ValueError(f"'{path}' must be a number, {{'constant': x}} or {{'uniform': [lo, hi]}}")
+        if "uniform" in value:
+            path = f"{path}.uniform"
+            low, high = _vector(value["uniform"], path, 2, "a [lo, hi] list")
+        else:
+            path = f"{path}.constant"
+            low = _number(value["constant"], path)
+    else:
+        low = _number(value, path, "a number, {'constant': x} or {'uniform': [lo, hi]}")
+    bounds = declared(DelaySpec)
+    bounds["low"].check(low, path)
+    bounds["high"].check(high, path)
+    return DelaySpec(low, high)
 
 
 # Marker families: JSON name -> ScenarioConfig attribute, and their leaves.
@@ -211,27 +206,27 @@ _SCHEMA = {
     "delays.display_confirm": (_delay_spec, "delays.display_confirm"),
     "delays.video": (_delay_spec, "delays.video"),
     "delays.pose": (_delay_spec, "delays.pose"),
-    "delays.safety_margin": (_optional_number, "delays.safety_margin"),
+    "delays.safety_margin": (_number, "delays.safety_margin"),
     "controller.gain": (_number, "gain"),
     "controller.max_linear_speed": (_number, "max_linear_speed"),
     "controller.max_angular_speed": (_number, "max_angular_speed"),
     "controller.descent_rate": (_number, "descent_rate"),
     "controller.command_lag": (_number, "command_lag"),
-    "landing.trigger_time": (_optional_number, "landing_trigger_time"),
-    "landing.error_threshold": (_optional_number, "landing_error_threshold"),
+    "landing.trigger_time": (_number, "landing_trigger_time"),
+    "landing.error_threshold": (_number, "landing_error_threshold"),
     "initial.position": (_vector, "initial_position"),
     "initial.yaw": (_number, "initial_yaw"),
     "desired.height": (_number, "desired_height"),
     "desired.yaw": (_number, "desired_yaw"),
     "run.duration": (_number, "duration"),
     "run.tick_step": (_number, "tick_step"),
-    "run.timing_scheme": (partial(_choice, TIMING_SCHEMES), "timing_scheme"),
-    "run.size_rule": (partial(_choice, SIZE_RULES), "size_rule"),
-    "run.strategy": (partial(_choice, STRATEGIES), "strategy"),
+    "run.timing_scheme": (_as_is, "timing_scheme"),
+    "run.size_rule": (_as_is, "size_rule"),
+    "run.strategy": (_as_is, "strategy"),
     "run.touchdown_height": (_number, "touchdown_height"),
     "run.bounds_radius": (_number, "bounds_radius"),
     "run.bounds_height": (_number, "bounds_height"),
-    "run.seed": (_seed, "seed"),
+    "run.seed": (_integer, "seed"),
     "batch.offset_radius": (_number, "batch_offset_radius"),
     "batch.yaw_half_range": (_number, "batch_yaw_half_range"),
     "marker.gap_fraction": (_number, "gap_fraction"),
@@ -247,6 +242,14 @@ def _check_object(section, allowed, path: str):
         raise ValueError(f"unknown config key(s) {unknown} in '{path}' (allowed: {sorted(allowed)})")
 
 
+def _declaration(attribute: str):
+    """The Domain declared for a dotted ScenarioConfig attribute path, if any."""
+    rule = ScenarioConfig
+    for name in attribute.split("."):
+        rule = declared(rule).get(name)
+    return rule if isinstance(rule, Domain) else None
+
+
 def _walk(section, path: str, updates: dict, present: set):
     """Check the JSON object at ``path`` ("" for the document) against _SCHEMA:
     each leaf's value goes to ``updates`` and each object's path to ``present``."""
@@ -258,7 +261,12 @@ def _walk(section, path: str, updates: dict, present: set):
         child = prefix + key
         if child in _SCHEMA:
             parse, *targets = _SCHEMA[child]
-            updates.update(dict.fromkeys(targets, parse(value, child)))
+            domain = _declaration(targets[0])  # a leaf's targets share one declaration
+            if not (value is None and domain and domain.optional):
+                value = parse(value, child)
+                if domain:
+                    domain.check(value, child)
+            updates.update(dict.fromkeys(targets, value))
         elif value is not None or not path:
             # a null family or noise profile means its defaults
             _walk(value, child, updates, present)

@@ -31,20 +31,22 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
+
+from .domain import Domain, OptionalNonNegative, Positive, check_fields
 
 
 @dataclass(frozen=True)
 class DelaySpec:
     """A nonnegative delay, constant or uniformly jittered."""
 
-    low: float
-    high: float | None = None
+    low: Annotated[float, Domain("[0, 1e6]")]
+    high: Annotated[float | None, Domain("[0, 1e6]", optional=True)] = None
 
     def __post_init__(self):
-        if self.low < 0:
-            raise ValueError(f"delay must be >= 0, got {self.low}")
+        check_fields(self)
         if self.high is not None and self.high < self.low:
             raise ValueError(f"delay range is inverted: [{self.low}, {self.high}]")
 
@@ -100,14 +102,11 @@ class DelayModel:
     display_confirm: DelaySpec
     video: DelaySpec
     pose: DelaySpec
-    frame_period: float
-    safety_margin: float | None = None
+    frame_period: Positive
+    safety_margin: OptionalNonNegative = None
 
     def __post_init__(self):
-        if self.frame_period <= 0:
-            raise ValueError(f"frame_period must be > 0, got {self.frame_period}")
-        if self.safety_margin is not None and self.safety_margin < 0:
-            raise ValueError(f"safety_margin must be >= 0, got {self.safety_margin}")
+        check_fields(self)
 
     @property
     def effective_safety_margin(self) -> float:

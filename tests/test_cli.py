@@ -83,6 +83,15 @@ MALFORMED = [
     ({"camera": {"fx": float("inf")}}, "camera.fx"),
     ({"delays": {"video": {"constant": float("nan")}}}, "delays.video.constant"),
     ({"run": {"seed": -1}}, "run.seed"),
+    ({"run": {"touchdown_height": -1}}, "run.touchdown_height"),
+    ({"run": {"bounds_radius": -1}}, "run.bounds_radius"),
+    ({"run": {"bounds_height": -1}}, "run.bounds_height"),
+    ({"desired": {"height": -1}}, "desired.height"),
+    ({"landing": {"error_threshold": -0.1}}, "landing.error_threshold"),
+    ({"controller": {"max_linear_speed": -1}}, "controller.max_linear_speed"),
+    ({"controller": {"command_lag": -1}}, "controller.command_lag"),
+    ({"marker": {"fill_factor": 2.0}}, "marker.fill_factor"),
+    ({"marker": {"gap_fraction": -0.5}}, "marker.gap_fraction"),
 ]
 
 
@@ -115,11 +124,28 @@ NAN, INF = float("nan"), float("inf")
         ("seed", -1),
         ("seed", 1.5),
         ("seed", True),
+        ("touchdown_height", -1.0),
+        ("bounds_radius", -1.0),
+        ("bounds_height", -1.0),
+        ("desired_height", -1.0),
+        ("landing_error_threshold", -0.1),
+        ("max_linear_speed", -1.0),
+        ("command_lag", -1.0),
+        ("fill_factor", 2.0),
+        ("gap_fraction", -0.5),
+        # a field of a nested config, by its attribute path
+        ("screen.width", NAN),
+        ("intrinsics.fx", NAN),
+        ("long_range_family.position_noise.sigma_at_1m", NAN),
+        ("delays.video.low", NAN),
     ],
 )
 def test_python_config_rejects_non_finite_values_and_bad_seed(field, value):
-    with pytest.raises(ValueError, match=f"^'?{field}'? must"):
-        dataclasses.replace(nominal_landing_scenario(), **{field: value})
+    *owners, name = field.split(".")
+    config = nominal_landing_scenario()
+    owner = attrgetter(".".join(owners))(config) if owners else config
+    with pytest.raises(ValueError, match=f"^'?{name}'? must"):
+        dataclasses.replace(owner, **{name: value})
 
 
 def _leaves(doc, path=""):

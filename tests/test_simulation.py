@@ -1,15 +1,21 @@
 import csv
 import math
 import re
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from markersim.marker import NoiseProfile
+from markersim.domain import Domain, declared
+from markersim.geometry import CameraIntrinsics, fov_half_angle
+from markersim.marker import MarkerFamily, NoiseProfile
+from markersim.marker_control import SwitchPolicy
 from markersim.pbvs import VelocityCommand
-from markersim.scenario import nominal_landing_scenario
+from markersim.scenario import ScenarioConfig, nominal_landing_scenario
 from markersim.simulation import (
     TRACE_COLUMNS,
     SimTrace,
@@ -330,3 +336,141 @@ class TestDivergence:
         )
         trace = run_scenario(config)
         assert trace.status == "diverged"
+
+
+def domain_values(domain: Domain, like=None):
+    """Every value ``domain`` accepts; a tuple ``like`` gives a tuple field's length."""
+    if domain.choices:
+        return st.sampled_from(domain.choices)
+    low = domain.low if math.isfinite(domain.low) else None
+    high = domain.high if math.isfinite(domain.high) else None
+    if domain.integer:
+        values = st.integers(
+            None if low is None else math.floor(low) + (not domain.low_closed),
+            None if high is None else math.ceil(high) - (not domain.high_closed),
+        )
+    else:
+        values = st.floats(
+            low, high,
+            exclude_min=low is not None and not domain.low_closed,
+            exclude_max=high is not None and not domain.high_closed,
+            allow_nan=False, allow_infinity=False,
+        )
+    if isinstance(like, tuple):
+        values = st.tuples(*[values] * len(like))
+    return st.none() | values if domain.optional else values
+
+
+def draw_fields(draw, default, **given):
+    """``default`` with every declared field not ``given`` drawn from its domain."""
+    values = {
+        name: draw(domain_values(rule, getattr(default, name)))
+        for name, rule in declared(type(default)).items()
+        if isinstance(rule, Domain) and name not in given
+    }
+    return replace(default, **values, **given)
+
+
+def field_values(cls, name):
+    return domain_values(declared(cls)[name])
+
+
+@st.composite
+def valid_configs(draw):
+    """ScenarioConfigs drawn from the declared domains, each field from its
+    whole domain less what a cross-field rule excludes. Only ``duration``,
+    ``tick_step`` and ``frame_period`` are bounded, to keep each run short."""
+    base = ScenarioConfig()
+    frame_period = draw(st.floats(0.01, 0.1))
+    width = draw(field_values(CameraIntrinsics, "width"))
+    height = draw(field_values(CameraIntrinsics, "height"))
+    fx, fy = draw(field_values(CameraIntrinsics, "fx")), draw(field_values(CameraIntrinsics, "fy"))
+    assume(min(math.atan(width / (2.0 * fx)), math.atan(height / (2.0 * fy))) < math.pi / 2.0)
+    intrinsics = draw_fields(
+        draw, base.intrinsics, width=width, height=height, fx=fx, fy=fy, frame_period=frame_period,
+        cx=draw(st.floats(0, float(width), exclude_min=True, exclude_max=True)),
+        cy=draw(st.floats(0, float(height), exclude_min=True, exclude_max=True)),
+    )
+
+    def family(default: MarkerFamily):
+        yields_yaw = draw(st.booleans())
+        return draw_fields(
+            draw, default, yields_yaw=yields_yaw,
+            position_noise=draw_fields(draw, NoiseProfile(0.0, 0.0)),
+            yaw_noise=draw_fields(draw, NoiseProfile(0.0, 0.0)) if yields_yaw else None,
+        )
+
+    def delay():
+        low, high = draw(field_values(DelaySpec, "low")), draw(field_values(DelaySpec, "high"))
+        return DelaySpec(low) if high is None else DelaySpec(*sorted((low, high)))
+
+    below = draw(field_values(SwitchPolicy, "switch_to_full_pose_below"))
+    above = draw(field_values(SwitchPolicy, "switch_to_long_range_above"))
+    assume(below != above)
+    below, above = sorted((below, above))
+    policy = draw_fields(
+        draw, base.policy, switch_to_full_pose_below=below, switch_to_long_range_above=above
+    )
+    size_rule = draw(field_values(ScenarioConfig, "size_rule"))
+    fov = 2.0 * fov_half_angle(intrinsics)
+    assume(size_rule != "verbatim" or fov * policy.scale_fraction < math.pi / 2.0)
+    screen = draw_fields(draw, base.screen)
+    fill_factor = draw(field_values(ScenarioConfig, "fill_factor"))
+    assume(screen.min_dim * fill_factor > 0)
+    tick_step = draw(st.floats(0.001, frame_period / 2.0))
+    return draw_fields(
+        draw, base,
+        tick_step=tick_step,
+        max_angular_speed=draw(st.floats(0.0, 0.1 / tick_step, exclude_min=True)),
+        intrinsics=intrinsics,
+        screen=screen,
+        fill_factor=fill_factor,
+        long_range_family=family(base.long_range_family),
+        full_pose_family=family(base.full_pose_family),
+        policy=policy,
+        size_rule=size_rule,
+        delays=draw_fields(
+            draw, base.delays, frame_period=frame_period,
+            **{name: delay() for name in ("detector_update", "display", "display_confirm", "video", "pose")},
+        ),
+        duration=draw(st.floats(0.0, 1.0, exclude_min=True)),
+    )
+
+
+def run_csv(config) -> tuple[str, bytes, bytes]:
+    trace = run_scenario(config)
+    with tempfile.TemporaryDirectory() as tmp:
+        trace_path, events_path = Path(tmp) / "trace.csv", Path(tmp) / "events.csv"
+        trace_to_csv(trace, trace_path)
+        events_to_csv(trace, events_path)
+        return trace.status, trace_path.read_bytes(), events_path.read_bytes()
+
+
+@given(valid_configs())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_every_valid_config_runs_to_an_end_and_repeats(config):
+    status, trace, events = run_csv(config)
+    assert status in ("landed", "timeout", "diverged")
+    assert run_csv(config) == (status, trace, events)
+
+
+def test_command_lag_substeps_converge():
+    base = nominal_landing_scenario()
+    today = run_csv(base)
+    assert run_csv(replace(base, command_lag=0.0)) == today
+    # The lag filter and the vehicle advance together in every sub-step, so
+    # the path converges at first order as the tick halves. Touchdown is
+    # checked at sub-step ends, which fall on frame events as well as ticks,
+    # so its time moves by less than the coarser tick.
+    ticks = (0.004, 0.002, 0.001)
+    touchdown, position = [], []
+    for tick_step in ticks:
+        trace = run_scenario(replace(base, command_lag=0.2, tick_step=tick_step))
+        assert trace.status == "landed"
+        touchdown.append(trace.touchdown_time)
+        at_2s = min(trace.records, key=lambda r: abs(r.time - 2.0))
+        position.append(np.array([at_2s.x, at_2s.y, at_2s.z]))
+    for i in range(2):
+        assert abs(touchdown[i + 1] - touchdown[i]) <= ticks[i]
+    steps = [np.abs(position[i + 1] - position[i]).max() for i in range(2)]
+    assert 0.4 < steps[1] / steps[0] < 0.6
