@@ -40,10 +40,6 @@ def rot_z(angle: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-_EYE3 = np.eye(3)
-_NEWTON_EYE = 1.5 * _EYE3
-
-
 def _rotation_defect(r: np.ndarray) -> float:
     # Scalar arithmetic on the nine entries: numpy's per-call overhead
     # dominates on 3x3s, and every Pose runs this check.
@@ -77,17 +73,6 @@ def check_rotation(r: np.ndarray, tol: float = ORTHONORMAL_TOL) -> np.ndarray:
         raise ValueError(
             f"matrix is not a proper rotation (orthonormality defect {defect:.3e} > {tol:.1e})"
         )
-    return r
-
-
-def orthonormalize(r: np.ndarray) -> np.ndarray:
-    """Project a nearly-orthonormal matrix back onto SO(3).
-
-    Two Newton steps of the polar decomposition; exact to ~1e-15 for the
-    small drift produced by Euler integration.
-    """
-    for _ in range(2):
-        r = r @ (_NEWTON_EYE - 0.5 * (r.T @ r))
     return r
 
 

@@ -4,8 +4,9 @@ marker control loop, and the update-synchronization protocol, all advanced by
 one event queue.
 
 Events carry exact timestamps (delay windows shorter than a tick are
-honored); the vehicle integrates between events in steps no larger than the
-tick, and one trace record is emitted per tick. Two runs with the same
+honored). Between events the body twist is constant and the vehicle makes
+that twist's exact rigid-body motion, so its path does not depend on the
+tick; one trace record is emitted per tick. Two runs with the same
 configuration and seed produce byte-identical traces.
 """
 
@@ -19,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Pose, invert, orthonormalize, rot_x, rot_z, vector_norm
+from .geometry import Pose, invert, rot_x, rot_z, vector_norm
 from .marker import FamilyKind, MarkerConfig
 from .marker_control import apply_update, bootstrap_config, select_marker
 from .pbvs import VelocityCommand, clamp_command, control_law, error_and_rotation, with_descent
@@ -44,6 +45,9 @@ _PRIO_LANDING = 6
 _PRIO_END = 9
 
 _TIME_EPS = 1e-12
+
+# Per-step turn (rad) below which vehicle_step uses the Taylor series of its coefficients.
+_SMALL_ANGLE = 1e-3
 
 
 def wrap_angle(a: float) -> float:
@@ -74,27 +78,44 @@ class VehicleState:
     time: float
 
 
-def _skew(w: np.ndarray) -> np.ndarray:
-    return np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
-
-
 def vehicle_step(state: VehicleState, cmd: VelocityCommand, dt: float) -> VehicleState:
-    """First-order (Euler) integration of a body-frame twist.
-
-    The rotation is re-orthonormalized every step so drift never accumulates.
-    """
+    """Move the body for ``dt`` under the constant body-frame twist ``cmd``:
+    exactly ``pose · exp(dt·ξ)``. With ``φ = w·dt`` and ``θ = |φ|``, the
+    rotation increment is Rodrigues' ``I + sin θ/θ [φ] + (1 - cos θ)/θ² [φ]²``,
+    and the translation increment is ``v·dt`` times the left Jacobian
+    ``I + (1 - cos θ)/θ² [φ] + (θ - sin θ)/θ³ [φ]²``. Zero ``w`` keeps the rotation."""
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if not cmd.is_finite:
         raise ValueError("velocity command has non-finite components")
-    r = state.pose.rotation
-    if not (any(cmd.linear.tolist()) or any(cmd.angular.tolist())):
+    px, py, pz = (cmd.linear * dt).tolist()
+    wx, wy, wz = (cmd.angular * dt).tolist()
+    if not (px or py or pz or wx or wy or wz):
         return VehicleState(state.pose, state.time + dt)
-    t_new = state.pose.translation + r @ cmd.linear * dt
-    r_new = orthonormalize(r + r @ _skew(cmd.angular) * dt)
-    return VehicleState(
-        Pose(r_new, t_new, state.pose.from_frame, state.pose.to_frame), state.time + dt
-    )
+    th2 = wx * wx + wy * wy + wz * wz
+    if th2 < _SMALL_ANGLE**2:  # Taylor series through θ⁴; the rest is below 1e-21
+        a = 1.0 - th2 / 6.0 * (1.0 - th2 / 20.0)
+        b = 0.5 - th2 / 24.0 * (1.0 - th2 / 30.0)
+        c = 1.0 / 6.0 - th2 / 120.0 * (1.0 - th2 / 42.0)
+    else:
+        th = math.sqrt(th2)
+        a, b = math.sin(th) / th, 2.0 * math.sin(0.5 * th) ** 2 / th2
+        c = (1.0 - a) / th2
+    r = state.pose.rotation
+    qx, qy, qz = wy * pz - wz * py, wz * px - wx * pz, wx * py - wy * px  # φ × p
+    t = state.pose.translation + r @ np.array([
+        px + b * qx + c * (wy * qz - wz * qy),
+        py + b * qy + c * (wz * qx - wx * qz),
+        pz + b * qz + c * (wx * qy - wy * qx),
+    ])
+    if th2:  # r (I + a[φ] + b[φ]²), with [φ]² = φφᵀ - θ²I
+        bxy, bxz, byz, ax, ay, az = b * wx * wy, b * wx * wz, b * wy * wz, a * wx, a * wy, a * wz
+        r = r + r @ np.array([
+            [-b * (wy * wy + wz * wz), bxy - az, bxz + ay],
+            [bxy + az, -b * (wx * wx + wz * wz), byz - ax],
+            [bxz - ay, byz + ax, -b * (wx * wx + wy * wy)],
+        ])
+    return VehicleState(Pose(r, t, state.pose.from_frame, state.pose.to_frame), state.time + dt)
 
 
 class TickRecord(NamedTuple):
@@ -192,9 +213,7 @@ class _Engine:
         self.protocol = UpdateProtocol(scheme)
 
         self.cmd = VelocityCommand.zero()
-        self._applied_cmd = self.cmd
-        self.v_applied = np.zeros(3)
-        self.w_applied = np.zeros(3)
+        self.applied = self.cmd  # the twist the vehicle flies: cmd, through the lag filter
         self.landing = False
         self.last_valid: PoseEstimate | None = None
         self.in_flight: MarkerConfig | None = None
@@ -228,30 +247,31 @@ class _Engine:
     def _set_command(self, cmd: VelocityCommand):
         self.cmd = cmd
         if self.cfg.command_lag <= 0:
-            self.v_applied = cmd.linear
-            self.w_applied = cmd.angular
-            self._applied_cmd = cmd
+            self.applied = cmd
 
     def _integrate(self, dt: float):
         if self.cfg.command_lag > 0:
             alpha = 1.0 - math.exp(-dt / self.cfg.command_lag)
-            self.v_applied = self.v_applied + (self.cmd.linear - self.v_applied) * alpha
-            self.w_applied = self.w_applied + (self.cmd.angular - self.w_applied) * alpha
-            self._applied_cmd = VelocityCommand(self.v_applied, self.w_applied)
-        self.state = vehicle_step(self.state, self._applied_cmd, dt)
+            v, w = self.applied.linear, self.applied.angular
+            self.applied = VelocityCommand(
+                v + (self.cmd.linear - v) * alpha, w + (self.cmd.angular - w) * alpha
+            )
+        self.state = vehicle_step(self.state, self.applied, dt)
 
     def _check_termination(self) -> bool:
+        # Leaving the bounds is checked first: a step that overshoots the
+        # touchdown height far enough to pass below the ground is a crash.
         t = self.state.pose.translation
-        if self.landing and t[2] <= self.cfg.touchdown_height:
-            self.status = "landed"
-            self.touchdown_time = self.state.time
-            return True
         if (
             math.hypot(t[0], t[1]) > self.cfg.bounds_radius
             or t[2] > self.cfg.bounds_height
             or t[2] < -0.05
         ):
             self.status = "diverged"
+            return True
+        if self.landing and t[2] <= self.cfg.touchdown_height:
+            self.status = "landed"
+            self.touchdown_time = self.state.time
             return True
         return False
 

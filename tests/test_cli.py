@@ -92,6 +92,7 @@ MALFORMED = [
     ({"controller": {"command_lag": -1}}, "controller.command_lag"),
     ({"marker": {"fill_factor": 2.0}}, "marker.fill_factor"),
     ({"marker": {"gap_fraction": -0.5}}, "marker.gap_fraction"),
+    ({"controller": {"descent_rate": 1e308}}, "controller.descent_rate"),
 ]
 
 
@@ -131,6 +132,7 @@ NAN, INF = float("nan"), float("inf")
         ("landing_error_threshold", -0.1),
         ("max_linear_speed", -1.0),
         ("command_lag", -1.0),
+        ("descent_rate", 1e308),
         ("fill_factor", 2.0),
         ("gap_fraction", -0.5),
         # a field of a nested config, by its attribute path
