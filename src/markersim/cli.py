@@ -72,8 +72,9 @@ def run_batch(config: ScenarioConfig, n: int, seed_base: int, jobs: int = 1) -> 
     """N seeded runs with randomized initial conditions; results are ordered
     by run index and independent of the job count."""
     tasks = [(config, seed_base, i) for i in range(n)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, n)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             summaries = list(pool.map(_batch_run, tasks))
     else:
         summaries = [_batch_run(t) for t in tasks]
@@ -218,9 +219,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; those are config errors here
         return 0 if exc.code in (0, None) else 1
-    if getattr(args, "n", 1) < 1:
-        print("error: --n must be >= 1", file=sys.stderr)
-        return 1
+    for flag in ("n", "jobs"):
+        if getattr(args, flag, 1) < 1:
+            print(f"error: --{flag} must be >= 1", file=sys.stderr)
+            return 1
     handler = {"run": _cmd_run, "batch": _cmd_batch, "compare": _cmd_compare}[args.command]
     try:
         return handler(args)

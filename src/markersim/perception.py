@@ -95,7 +95,12 @@ def _project_board(true_pose: Pose, corners: np.ndarray, k: CameraIntrinsics):
     outside = (u < 0.0) | (u > k.width) | (v < 0.0) | (v > k.height)
     du = u - u[:, _NEXT_CORNER]
     dv = v - v[:, _NEXT_CORNER]
-    return ~outside.any(axis=1), np.sqrt(du * du + dv * dv).max(axis=1)
+    with np.errstate(over="ignore"):
+        edges = np.sqrt(du * du + dv * dv)
+    if not np.isfinite(edges).all():  # the squares overflowed; hypot does not
+        huge = ~np.isfinite(edges)
+        edges[huge] = np.hypot(du[huge], dv[huge])
+    return ~outside.any(axis=1), edges.max(axis=1)
 
 
 def pixel_footprint(true_pose: Pose, marker_size: float, k: CameraIntrinsics) -> float:

@@ -61,7 +61,6 @@ class ScenarioConfig:
     max_linear_speed: Positive = 1.0
     max_angular_speed: Positive = 1.0
     descent_rate: Annotated[float, Domain("(0, 1e6]")] = 0.3
-    command_lag: NonNegative = 0.0
     initial_position: Annotated[tuple[float, float, float], Domain("[-1e6, 1e6]")] = (0.4, -0.3, 2.5)
     initial_yaw: Finite = math.radians(30.0)
     desired_height: Annotated[float, Domain("(0, 1e6]")] = 2.5
@@ -84,11 +83,6 @@ class ScenarioConfig:
 
     def __post_init__(self):
         check_fields(self)
-        if self.tick_step > self.intrinsics.frame_period / 2.0:
-            raise ValueError(
-                f"tick_step must lie in (0, frame_period/2] = "
-                f"(0, {self.intrinsics.frame_period / 2.0:.6g}], got {self.tick_step}"
-            )
         if self.size_rule == "verbatim" and not (
             2.0 * fov_half_angle(self.intrinsics) * self.policy.scale_fraction < math.pi / 2.0
         ):
@@ -205,7 +199,6 @@ _SCHEMA = {
     "controller.max_linear_speed": (_number, "max_linear_speed"),
     "controller.max_angular_speed": (_number, "max_angular_speed"),
     "controller.descent_rate": (_number, "descent_rate"),
-    "controller.command_lag": (_number, "command_lag"),
     "landing.trigger_time": (_number, "landing_trigger_time"),
     "landing.error_threshold": (_number, "landing_error_threshold"),
     "initial.position": (_vector, "initial_position"),

@@ -3,11 +3,13 @@ body, a fixed-rate capture pipeline with transport delays, the servo loop, the
 marker control loop, and the update-synchronization protocol, all advanced by
 one event queue.
 
-Events carry exact timestamps (delay windows shorter than a tick are
-honored). Between events the body twist is constant and the vehicle makes
-that twist's exact rigid-body motion, so its path does not depend on the
-tick; one trace record is emitted per tick. Two runs with the same
-configuration and seed produce byte-identical traces.
+Events carry exact timestamps. The vehicle state changes only at events:
+between two events the body twist is constant, and the state moves by that
+twist's exact rigid-body motion in one step. Trace rows are queue events too,
+the k-th at ``k * tick_step``; a row samples the exact motion at its instant
+without changing the state. So the tick sets only the trace cadence: the
+path, the events and the rows at any shared instant do not depend on it.
+Two runs with the same configuration and seed produce byte-identical traces.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .pbvs import VelocityCommand, clamp_command, control_law, error_and_rotatio
 from .perception import (
     DetectorParams,
     NoDetection,
-    PoseEstimate,
     camera_position_in_marker,
     simulate_detection,
 )
@@ -40,11 +41,16 @@ from .timing import (
     schedule_update,
 )
 
-# External events come after every update-protocol event at equal timestamps.
+# Trace rows come before every event at equal timestamps, so a row shows the
+# state before the events at its instant; external events come after every
+# update-protocol event.
+_PRIO_RECORD = -1
 _PRIO_LANDING = 6
 _PRIO_END = 9
 
-_TIME_EPS = 1e-12
+# A row this close to the end instant, relative to it, is the end row: the
+# product k * tick_step may miss the duration it names by an ulp or two.
+_END_RTOL = 1e-12
 
 # Per-step turn (rad) below which vehicle_step uses the Taylor series of its coefficients.
 _SMALL_ANGLE = 1e-3
@@ -120,7 +126,8 @@ def vehicle_step(state: VehicleState, cmd: VelocityCommand, dt: float) -> Vehicl
 
 class TickRecord(NamedTuple):
     """One trace row; est_* fields are the camera position in the marker frame
-    according to the last estimate in this tick (None when there was none)."""
+    according to the last estimate since the previous row (None when there was
+    none)."""
 
     time: float
     x: float
@@ -213,9 +220,7 @@ class _Engine:
         self.protocol = UpdateProtocol(scheme)
 
         self.cmd = VelocityCommand.zero()
-        self.applied = self.cmd  # the twist the vehicle flies: cmd, through the lag filter
         self.landing = False
-        self.last_valid: PoseEstimate | None = None
         self.in_flight: MarkerConfig | None = None
         self.pending: MarkerConfig | None = None
 
@@ -234,7 +239,6 @@ class _Engine:
         self._note_detect = ""
         self._note_valid = ""
         self._note_est = (None, None, None, None)
-        self._next_record = 0.0
         self._heap = []
         self._seq = 0
 
@@ -242,26 +246,12 @@ class _Engine:
         heapq.heappush(self._heap, (time, prio, self._seq, kind, payload))
         self._seq += 1
 
-    # -- integration and recording ----------------------------------------
+    # -- motion and recording ----------------------------------------------
 
-    def _set_command(self, cmd: VelocityCommand):
-        self.cmd = cmd
-        if self.cfg.command_lag <= 0:
-            self.applied = cmd
-
-    def _integrate(self, dt: float):
-        if self.cfg.command_lag > 0:
-            alpha = 1.0 - math.exp(-dt / self.cfg.command_lag)
-            v, w = self.applied.linear, self.applied.angular
-            self.applied = VelocityCommand(
-                v + (self.cmd.linear - v) * alpha, w + (self.cmd.angular - w) * alpha
-            )
-        self.state = vehicle_step(self.state, self.applied, dt)
-
-    def _check_termination(self) -> bool:
+    def _check_termination(self, time: float, pose: Pose) -> bool:
         # Leaving the bounds is checked first: a step that overshoots the
         # touchdown height far enough to pass below the ground is a crash.
-        t = self.state.pose.translation
+        t = pose.translation
         if (
             math.hypot(t[0], t[1]) > self.cfg.bounds_radius
             or t[2] > self.cfg.bounds_height
@@ -271,35 +261,17 @@ class _Engine:
             return True
         if self.landing and t[2] <= self.cfg.touchdown_height:
             self.status = "landed"
-            self.touchdown_time = self.state.time
+            self.touchdown_time = time
             return True
         return False
 
-    def _advance_to(self, target: float) -> bool:
-        """Integrate up to ``target``, recording at tick boundaries.
-
-        Returns False when the run terminated during the advance.
-        """
-        while self.state.time < target - _TIME_EPS:
-            bound = min(self._next_record, target)
-            dt = bound - self.state.time
-            if dt > _TIME_EPS:
-                self._integrate(dt)
-                if self._check_termination():
-                    self._record()
-                    return False
-            if self._next_record <= self.state.time + _TIME_EPS:
-                self._record()
-                self._next_record += self.cfg.tick_step
-        return True
-
-    def _record(self):
-        t = self.state.pose.translation
-        yaw = _vehicle_yaw(self.state.pose)
+    def _record(self, time: float, pose: Pose):
+        t = pose.translation
+        yaw = _vehicle_yaw(pose)
         est = self._note_est
         self.records.append(
             TickRecord(
-                time=self.state.time,
+                time=time,
                 x=float(t[0]),
                 y=float(t[1]),
                 z=float(t[2]),
@@ -363,7 +335,6 @@ class _Engine:
             self.invalid += 1
             return
 
-        self.last_valid = result
         error, rotation = error_and_rotation(result, self.desired)
         cmd = clamp_command(
             control_law(error, self.cfg.gain, rotation),
@@ -380,7 +351,7 @@ class _Engine:
             self.landing = True
         if self.landing:
             cmd = with_descent(cmd, self.cfg.descent_rate)
-        self._set_command(cmd)
+        self.cmd = cmd
 
         if self.cfg.strategy == "dynamic":
             proposal = select_marker(
@@ -430,32 +401,45 @@ class _Engine:
 
     def run(self) -> SimTrace:
         cfg = self.cfg
+        self._push(0.0, _PRIO_RECORD, "record", 0)
         self._push(0.0, PRIO_GRAB, "grab")
         if cfg.landing_trigger_time is not None:
             self._push(cfg.landing_trigger_time, _PRIO_LANDING, "landing_trigger")
         self._push(cfg.duration, _PRIO_END, "end")
 
-        while self._heap:
+        pose, posed_at = self.state.pose, 0.0
+        while True:  # the end event stops the loop at the latest
             time, _, _, kind, payload = heapq.heappop(self._heap)
-            if not self._advance_to(time):
+            if time != posed_at:
+                # the exact motion from the last event's state under the held
+                # twist; every event at one instant shares its pose
+                pose = vehicle_step(self.state, self.cmd, time - self.state.time).pose
+                posed_at = time
+            if kind != "record":
+                self.state = VehicleState(pose, time)
+            if self._check_termination(time, pose):
+                self._record(time, pose)
                 break
-            if kind == "end":
+            if kind == "record":
+                self._record(time, pose)
+                self._push((payload + 1) * cfg.tick_step, _PRIO_RECORD, "record", payload + 1)
+            elif kind == "end":
                 self.status = "timeout"
+                if self.records[-1].time < time * (1.0 - _END_RTOL):
+                    self._record(time, pose)
                 break
-            if kind == "grab":
+            elif kind == "grab":
                 self._on_grab(time)
             elif kind == "pose-ready":
                 self._on_pose_ready(time, *payload)
             elif kind == "landing_trigger":
                 self.landing = True
-                self._set_command(with_descent(self.cmd, cfg.descent_rate))
+                self.cmd = with_descent(self.cmd, cfg.descent_rate)
             else:
                 self._on_update_event(time, kind, payload)
 
-        if not self.records or self.records[-1].time < self.state.time - _TIME_EPS:
-            self._record()
-        t = self.state.pose.translation
-        final_yaw = _vehicle_yaw(self.state.pose)
+        t = pose.translation
+        final_yaw = _vehicle_yaw(pose)
         return SimTrace(
             records=self.records,
             events=self.events,

@@ -55,6 +55,10 @@ class TestConfigLoading:
         with pytest.raises(ValueError, match="switch_below"):
             load_scenario(path)
 
+    def test_command_lag_key_is_unknown(self):
+        with pytest.raises(ValueError, match=r"unknown config key\(s\) \['command_lag'\] in 'controller'"):
+            scenario_from_dict({"controller": {"command_lag": 0.0}})
+
     def test_invalid_json_diagnosed(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
@@ -89,7 +93,7 @@ MALFORMED = [
     ({"desired": {"height": -1}}, "desired.height"),
     ({"landing": {"error_threshold": -0.1}}, "landing.error_threshold"),
     ({"controller": {"max_linear_speed": -1}}, "controller.max_linear_speed"),
-    ({"controller": {"command_lag": -1}}, "controller.command_lag"),
+    ({"run": {"tick_step": 0}}, "run.tick_step"),
     ({"marker": {"fill_factor": 2.0}}, "marker.fill_factor"),
     ({"marker": {"gap_fraction": -0.5}}, "marker.gap_fraction"),
     ({"controller": {"descent_rate": 1e308}}, "controller.descent_rate"),
@@ -131,7 +135,7 @@ NAN, INF = float("nan"), float("inf")
         ("desired_height", -1.0),
         ("landing_error_threshold", -0.1),
         ("max_linear_speed", -1.0),
-        ("command_lag", -1.0),
+        ("tick_step", 0.0),
         ("descent_rate", 1e308),
         ("fill_factor", 2.0),
         ("gap_fraction", -0.5),
@@ -296,6 +300,37 @@ class TestBatchCommand:
     def test_bad_n_rejected(self, tmp_path):
         assert main(["batch", "--config", quick_config(tmp_path),
                      "--out", str(tmp_path / "o"), "--n", "0"]) == 1
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_bad_jobs_rejected(self, tmp_path, capsys, jobs):
+        assert main(["batch", "--config", quick_config(tmp_path),
+                     "--out", str(tmp_path / "o"), "--jobs", jobs]) == 1
+        assert "--jobs must be >= 1" in capsys.readouterr().err
+
+    def test_pool_has_at_most_one_worker_per_run(self, tmp_path, monkeypatch):
+        # A stand-in pool that records its size and runs the tasks in this
+        # process: no worker is started.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr("markersim.cli.ProcessPoolExecutor", RecordingPool)
+        config = quick_config(tmp_path)
+        for n in ("3", "1"):
+            assert main(["batch", "--config", config, "--out", str(tmp_path / n),
+                         "--n", n, "--jobs", "5000"]) == 0
+        assert sizes == [3]
 
 
 class TestCompareCommand:

@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,8 +44,6 @@ def overhead_pose(h: float, yaw: float = 0.0) -> Pose:
 
 def quiet(family: MarkerFamily) -> MarkerFamily:
     """Family copy with all noise zeroed."""
-    from dataclasses import replace
-
     yaw_noise = NoiseProfile(0.0, 0.0) if family.yaw_noise is not None else None
     return replace(family, position_noise=NoiseProfile(0.0, 0.0), yaw_noise=yaw_noise)
 
@@ -75,6 +75,14 @@ class TestPixelFootprint:
         behind = Pose(rot_x(math.pi), [0.0, 0.0, -1.0], "marker", "camera")
         with pytest.raises(ValueError, match="behind"):
             pixel_footprint(behind, 0.15, K)
+
+    def test_huge_focal_length_gives_a_finite_footprint_without_warning(self):
+        # Edges past ~1.3e154 px overflow their squares.
+        k = replace(K, fx=1.74e307, fy=1.74e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            footprint = pixel_footprint(overhead_pose(1.5), 0.15, k)
+        assert footprint == pytest.approx(1.74e307 * 0.15 / 1.5, rel=1e-12)
 
 
 class TestDetectionGates:
