@@ -28,12 +28,6 @@ def rot_x(angle: float) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
-def rot_y(angle: float) -> np.ndarray:
-    """Rotation matrix about the y axis."""
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
 def rot_z(angle: float) -> np.ndarray:
     """Rotation matrix about the z axis."""
     c, s = math.cos(angle), math.sin(angle)
@@ -76,12 +70,21 @@ def check_rotation(r: np.ndarray, tol: float = ORTHONORMAL_TOL) -> np.ndarray:
     return r
 
 
+def check_translation(t: np.ndarray) -> np.ndarray:
+    """Return the float 3-vector ``t``, raising if a component is not finite."""
+    if not all(map(math.isfinite, t.tolist())):
+        raise ValueError("translation has non-finite components")
+    return t
+
+
 @dataclass(frozen=True)
 class Pose:
     """Rigid transform mapping points in ``from_frame`` to ``to_frame``.
 
     ``p_to = rotation @ p_from + translation``; ``translation`` is therefore
     the position of the ``from_frame`` origin expressed in ``to_frame``.
+    Construction checks both fields. ``invert``, ``compose``, ``vehicle_step``
+    and ``simulate_detection`` derive their results exactly and skip the check.
     """
 
     rotation: np.ndarray
@@ -91,10 +94,17 @@ class Pose:
 
     def __post_init__(self):
         object.__setattr__(self, "rotation", check_rotation(self.rotation))
-        t = np.asarray(self.translation, dtype=float).reshape(3)
-        if not (math.isfinite(t[0]) and math.isfinite(t[1]) and math.isfinite(t[2])):
-            raise ValueError("translation has non-finite components")
+        t = check_translation(np.asarray(self.translation, dtype=float).reshape(3))
         object.__setattr__(self, "translation", t)
+
+    @classmethod
+    def _unchecked(cls, rotation, translation, from_frame: str, to_frame: str) -> "Pose":
+        """A Pose of library-derived float arrays, stored as they are."""
+        pose = object.__new__(cls)
+        pose.__dict__.update(
+            rotation=rotation, translation=translation, from_frame=from_frame, to_frame=to_frame
+        )
+        return pose
 
     @classmethod
     def identity(cls, frame: str, to_frame: str | None = None) -> "Pose":
@@ -112,7 +122,7 @@ def compose(a: Pose, b: Pose) -> Pose:
             f"cannot compose: left transform expects frame '{a.from_frame}' "
             f"but right transform produces frame '{b.to_frame}'"
         )
-    return Pose(
+    return Pose._unchecked(
         a.rotation @ b.rotation,
         a.rotation @ b.translation + a.translation,
         b.from_frame,
@@ -123,7 +133,7 @@ def compose(a: Pose, b: Pose) -> Pose:
 def invert(p: Pose) -> Pose:
     """Inverse transform, mapping ``to_frame`` back to ``from_frame``."""
     rt = p.rotation.T
-    return Pose(rt, -rt @ p.translation, p.to_frame, p.from_frame)
+    return Pose._unchecked(rt, -rt @ p.translation, p.to_frame, p.from_frame)
 
 
 @dataclass(frozen=True)
@@ -179,7 +189,11 @@ def angle_axis_to_rotation(aa: AngleAxis) -> np.ndarray:
 
 def rotation_to_angle_axis(r: np.ndarray) -> AngleAxis:
     """Angle-axis extraction with a dedicated branch for angles near pi."""
-    r = check_rotation(r)
+    return _angle_axis(check_rotation(r))
+
+
+def _angle_axis(r: np.ndarray) -> AngleAxis:
+    """``rotation_to_angle_axis`` of a float rotation already checked."""
     cos_angle = min(1.0, max(-1.0, (np.trace(r) - 1.0) / 2.0))
     angle = math.acos(cos_angle)
     if angle <= _ZERO_ANGLE_EPS:

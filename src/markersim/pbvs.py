@@ -14,11 +14,11 @@ which drives both error components to zero exponentially at rate ``gain``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import AngleAxis, Pose, compose, invert, rotation_to_angle_axis, vector_norm
+from .geometry import AngleAxis, Pose, _angle_axis, compose, invert, vector_norm
 from .perception import PoseEstimate
 
 
@@ -44,22 +44,24 @@ class FeatureVector:
 
 @dataclass(frozen=True)
 class VelocityCommand:
-    """Camera-frame twist: linear m/s, angular rad/s."""
+    """Camera-frame twist: linear m/s, angular rad/s. The arrays are read-only
+    copies, so ``is_finite``, decided at construction, stays true of them."""
 
     linear: np.ndarray
     angular: np.ndarray
+    is_finite: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "linear", np.asarray(self.linear, dtype=float).reshape(3))
-        object.__setattr__(self, "angular", np.asarray(self.angular, dtype=float).reshape(3))
+        for name in ("linear", "angular"):
+            v = np.array(getattr(self, name), dtype=float).reshape(3)
+            v.setflags(write=False)
+            object.__setattr__(self, name, v)
+        finite = all(map(math.isfinite, self.linear.tolist() + self.angular.tolist()))
+        object.__setattr__(self, "is_finite", finite)
 
     @classmethod
     def zero(cls) -> "VelocityCommand":
         return cls(np.zeros(3), np.zeros(3))
-
-    @property
-    def is_finite(self) -> bool:
-        return all(map(math.isfinite, self.linear.tolist() + self.angular.tolist()))
 
 
 def error_and_rotation(estimate: PoseEstimate, desired: Pose) -> tuple[FeatureVector, np.ndarray]:
@@ -71,7 +73,7 @@ def error_and_rotation(estimate: PoseEstimate, desired: Pose) -> tuple[FeatureVe
     as soon as a full-pose estimate arrives.
     """
     rel = compose(desired, invert(estimate.relative_pose))
-    theta_u = rotation_to_angle_axis(rel.rotation)
+    theta_u = _angle_axis(rel.rotation)
     if estimate.yaw is None:
         vec = theta_u.as_vector()
         vec[2] = 0.0
@@ -108,7 +110,9 @@ def clamp_command(
     an = vector_norm(angular)
     if max_angular > 0 and an > max_angular:
         angular = angular * (max_angular / an)
-    return replace(cmd, linear=linear, angular=angular)
+    if linear is cmd.linear and angular is cmd.angular:
+        return cmd
+    return VelocityCommand(linear, angular)
 
 
 def with_descent(cmd: VelocityCommand, descent_rate: float) -> VelocityCommand:
@@ -119,4 +123,4 @@ def with_descent(cmd: VelocityCommand, descent_rate: float) -> VelocityCommand:
     """
     linear = cmd.linear.copy()
     linear[2] = descent_rate
-    return replace(cmd, linear=linear)
+    return VelocityCommand(linear, cmd.angular)

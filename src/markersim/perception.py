@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, invert, rot_z, vector_norm
-from .marker import MarkerConfig, board_corners
+from .geometry import CameraIntrinsics, Pose, check_translation, invert, rot_z, vector_norm
+from .marker import MarkerConfig
 
 
 @dataclass(frozen=True)
@@ -103,25 +103,6 @@ def _project_board(true_pose: Pose, corners: np.ndarray, k: CameraIntrinsics):
     return ~outside.any(axis=1), edges.max(axis=1)
 
 
-def pixel_footprint(true_pose: Pose, marker_size: float, k: CameraIntrinsics) -> float:
-    """Projected edge length in pixels of a centered square marker.
-
-    Max over the four edges; for a fronto-parallel marker this equals
-    fx * marker_size / distance. Raises if the marker is behind the camera.
-    """
-    if marker_size < 0:
-        raise ValueError(f"marker_size must be >= 0, got {marker_size}")
-    if marker_size == 0.0:
-        if true_pose.translation[2] <= 0.0:
-            raise ValueError("marker is behind the camera")
-        return 0.0
-    corners = board_corners(np.array([[0.0, 0.0, marker_size]]))
-    _, footprint = _project_board(true_pose, corners, k)
-    if not footprint.size:
-        raise ValueError("marker is behind the camera")
-    return float(footprint[0])
-
-
 def simulate_detection(
     true_pose: Pose,
     displayed: MarkerConfig,
@@ -160,7 +141,7 @@ def simulate_detection(
 
     scale = believed.marker_size / displayed.marker_size
     sigma = family.position_noise.sigma_at(distance) / math.sqrt(usable)
-    t_est = t_true * scale + rng.normal(size=3) * sigma
+    t_est = check_translation(t_true * scale + rng.normal(size=3) * sigma)
 
     yaw_true = relative_yaw(true_pose.rotation)
     if family.yields_yaw:
@@ -173,7 +154,7 @@ def simulate_detection(
         yaw_est = None
 
     return PoseEstimate(
-        relative_pose=Pose(r_est, t_est, true_pose.from_frame, true_pose.to_frame),
+        relative_pose=Pose._unchecked(r_est, t_est, true_pose.from_frame, true_pose.to_frame),
         yaw=yaw_est,
         computed_against=believed.config_id,
         capture_time=capture_time,

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Pose, invert, rot_x, rot_z, vector_norm
+from .geometry import Pose, check_translation, invert, rot_x, rot_z, vector_norm
 from .marker import FamilyKind, MarkerConfig
 from .marker_control import apply_update, bootstrap_config, select_marker
 from .pbvs import VelocityCommand, clamp_command, control_law, error_and_rotation, with_descent
@@ -121,7 +121,8 @@ def vehicle_step(state: VehicleState, cmd: VelocityCommand, dt: float) -> Vehicl
             [bxy + az, -b * (wx * wx + wz * wz), byz - ax],
             [bxz - ay, byz + ax, -b * (wx * wx + wy * wy)],
         ])
-    return VehicleState(Pose(r, t, state.pose.from_frame, state.pose.to_frame), state.time + dt)
+    pose = Pose._unchecked(r, check_translation(t), state.pose.from_frame, state.pose.to_frame)
+    return VehicleState(pose, state.time + dt)
 
 
 class TickRecord(NamedTuple):
@@ -303,11 +304,12 @@ class _Engine:
 
     # -- event handlers ----------------------------------------------------
 
-    def _on_grab(self, now: float):
+    def _on_grab(self, now: float, k: int):
         true_rel = invert(self.state.pose)  # marker -> camera
         transport = self.cfg.delays.video.sample(self.rng) + self.cfg.delays.pose.sample(self.rng)
         self._push(now + transport, PRIO_POSE_READY, "pose-ready", (now, true_rel, self.displayed))
-        self._push(now + self.cfg.intrinsics.frame_period, PRIO_GRAB, "grab")
+        # on the frame grid, as rows are on theirs, so that coinciding instants are equal
+        self._push((k + 1) * self.cfg.intrinsics.frame_period, PRIO_GRAB, "grab", k + 1)
 
     def _on_pose_ready(self, now: float, capture_time, true_rel, displayed_at_capture):
         result = simulate_detection(
@@ -402,7 +404,7 @@ class _Engine:
     def run(self) -> SimTrace:
         cfg = self.cfg
         self._push(0.0, _PRIO_RECORD, "record", 0)
-        self._push(0.0, PRIO_GRAB, "grab")
+        self._push(0.0, PRIO_GRAB, "grab", 0)
         if cfg.landing_trigger_time is not None:
             self._push(cfg.landing_trigger_time, _PRIO_LANDING, "landing_trigger")
         self._push(cfg.duration, _PRIO_END, "end")
@@ -429,7 +431,7 @@ class _Engine:
                     self._record(time, pose)
                 break
             elif kind == "grab":
-                self._on_grab(time)
+                self._on_grab(time, payload)
             elif kind == "pose-ready":
                 self._on_pose_ready(time, *payload)
             elif kind == "landing_trigger":

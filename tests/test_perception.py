@@ -13,7 +13,6 @@ from markersim.geometry import (
     Pose,
     project_point,
     rot_x,
-    rot_y,
     rot_z,
 )
 from markersim.marker import (
@@ -21,13 +20,14 @@ from markersim.marker import (
     MarkerFamily,
     NoiseProfile,
     Screen,
+    board_corners,
     board_layout,
 )
 from markersim.perception import (
     DetectorParams,
     NoDetection,
     PoseEstimate,
-    pixel_footprint,
+    _project_board,
     relative_yaw,
     simulate_detection,
     strip_yaw,
@@ -35,6 +35,25 @@ from markersim.perception import (
 
 K = CameraIntrinsics(fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480,
                      frame_period=1 / 30)
+
+
+def rot_y(angle: float) -> np.ndarray:
+    """Reference rotation about the y axis."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+def pixel_footprint(true_pose: Pose, marker_size: float, k: CameraIntrinsics) -> float:
+    """Projected edge length in pixels of a centered square marker, through
+    the detector's board projection; raises if it is behind the camera."""
+    if marker_size == 0.0:
+        if true_pose.translation[2] <= 0.0:
+            raise ValueError("marker is behind the camera")
+        return 0.0
+    _, footprint = _project_board(true_pose, board_corners(np.array([[0.0, 0.0, marker_size]])), k)
+    if not footprint.size:
+        raise ValueError("marker is behind the camera")
+    return float(footprint[0])
 
 
 def overhead_pose(h: float, yaw: float = 0.0) -> Pose:
@@ -123,6 +142,33 @@ class TestDetectionGates:
         # once detection fails going up in distance it never comes back
         first_fail = detected.index(False) if False in detected else len(detected)
         assert all(detected[:first_fail]) and not any(detected[first_fail:])
+
+
+class InfiniteNoise:
+    """A noise source whose every draw is +inf."""
+
+    def normal(self, size=None):
+        return np.full(size, np.inf) if size is not None else np.inf
+
+
+class TestNonFiniteEstimateRejected:
+    """The estimate's translation takes outside values (noise draws, the
+    believed/displayed size ratio), so it is checked as a Pose would be."""
+
+    def test_infinite_position_noise(self):
+        cfg = single(MarkerFamily.long_range_default(), 0.5)
+        with pytest.raises(ValueError, match="translation has non-finite components"):
+            simulate_detection(overhead_pose(2.0), cfg, detector_for(cfg), InfiniteNoise())
+
+    def test_overflowing_size_ratio(self):
+        # 1e9 m believed over 1e-300 m displayed; fx puts the tiny cell at 100 px.
+        believed = single(FULL, 1e9, config_id=1, limit=1e9)
+        detector = DetectorParams(believed, replace(K, fx=1e302, fy=1e302))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="translation has non-finite components"
+        ):
+            simulate_detection(overhead_pose(1.0), single(FULL, 1e-300), detector,
+                               np.random.default_rng(0))
 
 
 class TestEstimates:

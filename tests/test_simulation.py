@@ -12,8 +12,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from markersim import geometry, pbvs, perception, simulation
 from markersim.domain import Domain, declared
-from markersim.geometry import CameraIntrinsics, Pose, fov_half_angle
+from markersim.geometry import CameraIntrinsics, Pose, _rotation_defect, fov_half_angle
 from markersim.marker import MarkerFamily, NoiseProfile
 from markersim.marker_control import SwitchPolicy
 from markersim.pbvs import VelocityCommand
@@ -130,6 +131,14 @@ class TestVehicleStep:
         state = VehicleState(camera_pose_in_marker(0.0, 0.0, 1.0, 0.0), 0.0)
         with pytest.raises(ValueError):
             vehicle_step(state, VelocityCommand(np.array([np.nan, 0, 0]), np.zeros(3)), 0.1)
+
+    def test_overflowing_step_rejected(self):
+        state = VehicleState(camera_pose_in_marker(0.0, 0.0, 1.0, 0.0), 0.0)
+        cmd = VelocityCommand(np.array([1e300, 0.0, 0.0]), np.zeros(3))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            ValueError, match="translation has non-finite components"
+        ):
+            vehicle_step(state, cmd, 1e10)
 
     def test_nonpositive_dt_rejected(self):
         state = VehicleState(camera_pose_in_marker(0.0, 0.0, 1.0, 0.0), 0.0)
@@ -554,3 +563,43 @@ def test_every_valid_config_runs_to_an_end_and_repeats(config):
     status, trace, events = run_csv(config)
     assert status in ("landed", "timeout", "diverged")
     assert run_csv(config) == (status, trace, events)
+
+
+@st.composite
+def landing_configs(draw):
+    """Batch landing starts at any yaw, under every scheme, strategy and size
+    rule: unlike ``valid_configs`` draws, these detect, servo and turn."""
+    config = replace(
+        nominal_landing_scenario(),
+        timing_scheme=draw(field_values(ScenarioConfig, "timing_scheme")),
+        strategy=draw(field_values(ScenarioConfig, "strategy")),
+        size_rule=draw(field_values(ScenarioConfig, "size_rule")),
+        batch_yaw_half_range=draw(field_values(ScenarioConfig, "batch_yaw_half_range")),
+    )
+    seed, index = draw(st.integers(0, 2**16)), draw(st.integers(0, 49))
+    return randomized_initial_conditions(config, seed, index)
+
+
+@given(st.one_of(valid_configs(), landing_configs()))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_engine_made_rotations_stay_proper(config):
+    """Poses that vehicle_step, invert and compose make skip Pose's rotation
+    check; every one a run makes stays within the 1e-9 geometry promises for
+    library-made rotations."""
+    defects = []
+
+    def tracked(fn, pose_of):
+        def wrapper(*args):
+            result = fn(*args)
+            defects.append(_rotation_defect(pose_of(result).rotation))
+            return result
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "vehicle_step", tracked(vehicle_step, lambda state: state.pose))
+        for module, name in ((simulation, "invert"), (perception, "invert"), (pbvs, "invert"),
+                             (pbvs, "compose")):
+            mp.setattr(module, name, tracked(getattr(geometry, name), lambda pose: pose))
+        run_scenario(config)
+    assert defects and max(defects) <= 1e-9
