@@ -15,11 +15,11 @@ import numpy as np
 from markersim.timing import (
     DelayModel,
     DelaySpec,
-    compute_optimized_wait,
     compute_safe_wait,
     evaluate_optimized_conditions,
     replay_update_frames,
     schedule_update,
+    wait_window,
 )
 
 FRAME = 1 / 30
@@ -30,10 +30,9 @@ model = DelayModel(
     display_confirm=DelaySpec.uniform(0.035, 0.060),
     video=DelaySpec.constant(0.005),
     pose=DelaySpec.constant(0.002),
-    frame_period=FRAME,
 )
 
-conditions = evaluate_optimized_conditions(model)
+conditions = evaluate_optimized_conditions(model, FRAME)
 print("optimized-scheme preconditions:")
 print(f"  confirmation always beats the capture loop: {conditions.confirm_below_loop}")
 print(f"  detector update small vs frame period:      {conditions.update_is_small}")
@@ -41,10 +40,10 @@ print(f"  capture+pose delay effectively constant:    {conditions.capture_pose_c
 
 rng = np.random.default_rng(1)
 sample = model.sample(rng)
-timeline = schedule_update(0.0, sample, FRAME, model.effective_safety_margin)
+timeline = schedule_update(0.0, sample, FRAME)
 safe_wait = compute_safe_wait(timeline.capture_loop_delay, sample.display_confirm)
-optimized_wait = compute_optimized_wait(sample.detector_update,
-                                        model.effective_safety_margin, conditions)
+lo, hi = wait_window(timeline, "optimized")
+optimized_wait = hi - lo
 print(f"\none sampled update: safe wait {safe_wait * 1000:.0f} ms, "
       f"optimized wait {optimized_wait * 1000:.0f} ms "
       f"({safe_wait / optimized_wait:.1f}x shorter)\n")
@@ -53,22 +52,23 @@ print(f"\none sampled update: safe wait {safe_wait * 1000:.0f} ms, "
 # count the frames each scheme invalidates.
 updates = 2000
 lost = {"safe": 0, "optimized": 0}
-races = 0
+races = {"safe": 0, "optimized": 0}
 for _ in range(updates):
     sample = model.sample(rng)
-    timeline = schedule_update(float(rng.uniform(0, 10)), sample, FRAME,
-                               model.effective_safety_margin)
+    timeline = schedule_update(float(rng.uniform(0, 10)), sample, FRAME)
     phase = float(rng.uniform(0, FRAME))
     for scheme in ("safe", "optimized"):
         outcomes = replay_update_frames(timeline, scheme, frame_phase=phase)
         lost[scheme] += sum(not o.stamp.valid for o in outcomes)
-        if scheme == "safe":
-            races += sum(o.mismatched for o in outcomes)
+        races[scheme] += sum(o.mismatched for o in outcomes)
         # the non-negotiable property: a trusted pose is never a stale pose
         assert not any(o.stamp.valid and o.mismatched for o in outcomes)
+# the optimized window distrusts exactly the frames the update corrupts
+assert lost["optimized"] == races["optimized"] == updates
 
 print(f"over {updates} updates (random frame phase, jittered confirmation):")
-print(f"  wrong-parameter races that occurred:   {races}")
+print(f"  wrong-parameter races, safe scheme:      {races['safe']}")
+print(f"  wrong-parameter races, optimized scheme: {races['optimized']}")
 print(f"  frames lost, safe scheme:      {lost['safe']}  "
       f"({lost['safe'] / updates:.2f} per update)")
 print(f"  frames lost, optimized scheme: {lost['optimized']}  "

@@ -14,7 +14,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .domain import Domain, NonNegative, Positive, check_fields
+from .domain import Domain, Positive, check_fields
 
 
 class FamilyKind(str, Enum):
@@ -87,11 +87,10 @@ class MarkerFamily:
 
 @dataclass(frozen=True)
 class Screen:
-    """Physical display surface; refresh_delay feeds the display latency."""
+    """Physical display surface."""
 
     width: Positive
     height: Positive
-    refresh_delay: NonNegative = 0.0
 
     def __post_init__(self):
         check_fields(self)

@@ -42,7 +42,7 @@ class ScenarioConfig:
     intrinsics: CameraIntrinsics = CameraIntrinsics(
         fx=500.0, fy=500.0, cx=320.0, cy=240.0, width=640, height=480, frame_period=1.0 / 30.0
     )
-    screen: Screen = Screen(width=0.15, height=0.15, refresh_delay=0.0)
+    screen: Screen = Screen(width=0.15, height=0.15)
     long_range_family: MarkerFamily = MarkerFamily.long_range_default()
     full_pose_family: MarkerFamily = field(
         default_factory=lambda: replace(MarkerFamily.full_pose_default(), max_detection_range=1.5)
@@ -54,8 +54,6 @@ class ScenarioConfig:
         display_confirm=DelaySpec.uniform(0.035, 0.060),
         video=DelaySpec.constant(0.005),
         pose=DelaySpec.constant(0.002),
-        frame_period=1.0 / 30.0,
-        safety_margin=None,
     )
     gain: Annotated[float, Domain("(0, 1e6]")] = 0.8
     max_linear_speed: Positive = 1.0
@@ -91,11 +89,6 @@ class ScenarioConfig:
             raise ValueError(
                 f"the largest marker, screen.min_dim * fill_factor, must be > 0, got "
                 f"{self.screen.min_dim} * {self.fill_factor}"
-            )
-        if self.delays.frame_period != self.intrinsics.frame_period:
-            raise ValueError(
-                "delay model frame_period must equal the camera frame_period "
-                f"({self.delays.frame_period} != {self.intrinsics.frame_period})"
             )
 
 
@@ -171,7 +164,7 @@ _FAMILY = {
 }
 
 # The scenario schema: JSON leaf path -> (parser, ScenarioConfig attribute
-# path(s) that the parsed value sets). Every other path is a JSON object.
+# path that the parsed value sets). Every other path is a JSON object.
 _SCHEMA = {
     "camera.fx": (_number, "intrinsics.fx"),
     "camera.fy": (_number, "intrinsics.fy"),
@@ -179,10 +172,9 @@ _SCHEMA = {
     "camera.cy": (_number, "intrinsics.cy"),
     "camera.width": (_integer, "intrinsics.width"),
     "camera.height": (_integer, "intrinsics.height"),
-    "camera.frame_period": (_number, "intrinsics.frame_period", "delays.frame_period"),
+    "camera.frame_period": (_number, "intrinsics.frame_period"),
     "screen.width": (_number, "screen.width"),
     "screen.height": (_number, "screen.height"),
-    "screen.refresh_delay": (_number, "screen.refresh_delay"),
     **{f"families.{name}.{leaf}": (parse, f"{attr}.{leaf}")
        for name, attr in _FAMILIES.items() for leaf, parse in _FAMILY.items()},
     "policy.switch_to_full_pose_below": (_number, "policy.switch_to_full_pose_below"),
@@ -194,7 +186,6 @@ _SCHEMA = {
     "delays.display_confirm": (_delay_spec, "delays.display_confirm"),
     "delays.video": (_delay_spec, "delays.video"),
     "delays.pose": (_delay_spec, "delays.pose"),
-    "delays.safety_margin": (_number, "delays.safety_margin"),
     "controller.gain": (_number, "gain"),
     "controller.max_linear_speed": (_number, "max_linear_speed"),
     "controller.max_angular_speed": (_number, "max_angular_speed"),
@@ -247,13 +238,13 @@ def _walk(section, path: str, updates: dict, present: set):
     for key, value in section.items():
         child = prefix + key
         if child in _SCHEMA:
-            parse, *targets = _SCHEMA[child]
-            domain = _declaration(targets[0])  # a leaf's targets share one declaration
+            parse, target = _SCHEMA[child]
+            domain = _declaration(target)
             if not (value is None and domain and domain.optional):
                 value = parse(value, child)
                 if domain:
                     domain.check(value, child)
-            updates.update(dict.fromkeys(targets, value))
+            updates[target] = value
         elif value is not None or not path:
             # a null family or noise profile means its defaults
             _walk(value, child, updates, present)
@@ -295,12 +286,6 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
             raise ValueError(f"'families.{name}.yaw_noise' must be null when yields_yaw is false")
         if yields_yaw != (default.yaw_noise is not None):
             updates[f"{attr}.yaw_noise"] = NoiseProfile(0.0, 0.0) if yields_yaw else None
-    refresh = updates.get("screen.refresh_delay", base.screen.refresh_delay)
-    if refresh > 0:
-        # The display path includes the physical refresh of the screen.
-        display = updates.get("delays.display", base.delays.display)
-        high = None if display.high is None else display.high + refresh
-        updates["delays.display"] = DelaySpec(display.low + refresh, high)
     return _build(base, updates)
 
 

@@ -216,7 +216,9 @@ class _Engine:
         self.commanded = initial
 
         scheme = config.timing_scheme
-        if scheme == "optimized" and not evaluate_optimized_conditions(config.delays).all_hold:
+        if scheme == "optimized" and not evaluate_optimized_conditions(
+            config.delays, config.intrinsics.frame_period
+        ).all_hold:
             scheme = "safe"
         self.protocol = UpdateProtocol(scheme)
 
@@ -376,9 +378,7 @@ class _Engine:
 
     def _start_update(self, marker: MarkerConfig, now: float):
         sample = self.cfg.delays.sample(self.rng)
-        timeline = schedule_update(
-            now, sample, self.cfg.intrinsics.frame_period, self.cfg.delays.effective_safety_margin
-        )
+        timeline = schedule_update(now, sample, self.cfg.intrinsics.frame_period)
         if marker.family.kind is not self.commanded.family.kind:
             self.family_switches += 1
         self.commanded = marker

@@ -18,8 +18,12 @@ Two schemes are provided. The safe scheme updates the detector immediately
 and distrusts every capture until max(capture_loop_delay, confirm_delay) has
 passed, wasting several frames per update. The optimized scheme, applicable
 when the display confirmation is the only meaningfully jittery delay, defers
-the detector update until just before ``pose_ready_at``; old-marker frames
-then keep producing valid poses and only one frame per update is lost.
+the detector update until just before ``pose_ready_at`` and distrusts the
+captures from the display instant until the last one whose pose still comes
+out before that switch: exactly the new-marker frames computed with old
+parameters. Old-marker frames keep producing valid poses, and when the switch
+is not held back by a late confirmation only one frame per update is lost, at
+any frame phase.
 
 ``UpdateProtocol`` holds the event order at equal timestamps, the events
 each update queues and the lookup of the window a capture falls in; the
@@ -35,7 +39,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .domain import Domain, OptionalNonNegative, Positive, check_fields
+from .domain import Domain, check_fields
 
 
 @dataclass(frozen=True)
@@ -88,13 +92,12 @@ class DelaySpec:
 
 @dataclass(frozen=True)
 class DelayModel:
-    """The per-update delay distributions plus camera cadence.
+    """The per-update delay distributions. The frame period is the camera's
+    (``CameraIntrinsics.frame_period``).
 
     ``display_confirm`` is the round trip to the display: the new marker is on
     screen at some instant inside it, so its samples are forced to be at least
     the display sample (a confirmation cannot precede the display).
-    ``safety_margin`` defaults to one frame period, absorbing small capture
-    and pose-computation jitter in the optimized scheme.
     """
 
     detector_update: DelaySpec
@@ -102,15 +105,6 @@ class DelayModel:
     display_confirm: DelaySpec
     video: DelaySpec
     pose: DelaySpec
-    frame_period: Positive
-    safety_margin: OptionalNonNegative = None
-
-    def __post_init__(self):
-        check_fields(self)
-
-    @property
-    def effective_safety_margin(self) -> float:
-        return self.frame_period if self.safety_margin is None else self.safety_margin
 
     def sample(self, rng: np.random.Generator) -> "DelaySample":
         """Draw one update's delays, in a fixed order for reproducibility."""
@@ -157,7 +151,6 @@ class UpdateTimeline:
     confirm_gap: float
     sample: DelaySample
     frame_period: float
-    safety_margin: float
 
     def __post_init__(self):
         if not (self.issued_at <= self.detector_confirm_at):
@@ -209,36 +202,21 @@ class OptimizedConditions:
         return self.confirm_below_loop and self.update_is_small and self.capture_pose_constant
 
 
-def evaluate_optimized_conditions(model: DelayModel) -> OptimizedConditions:
-    """Check the reduced-wait preconditions against delay distributions."""
+def evaluate_optimized_conditions(model: DelayModel, frame_period: float) -> OptimizedConditions:
+    """Check the reduced-wait preconditions against delay distributions and
+    the camera's frame period."""
     capture_loop_min = (
-        model.display.minimum + model.frame_period + model.video.minimum + model.pose.minimum
+        model.display.minimum + frame_period + model.video.minimum + model.pose.minimum
     )
     confirm_below_loop = model.display_confirm.maximum < capture_loop_min
-    update_is_small = model.detector_update.maximum <= 0.25 * model.frame_period
-    cp_mean = model.frame_period + model.video.mean + model.pose.mean
+    update_is_small = model.detector_update.maximum <= 0.25 * frame_period
+    cp_mean = frame_period + model.video.mean + model.pose.mean
     cp_std = (model.video.variance + model.pose.variance) ** 0.5
     capture_pose_constant = cp_std <= 0.05 * cp_mean
     return OptimizedConditions(confirm_below_loop, update_is_small, capture_pose_constant)
 
 
-def compute_optimized_wait(
-    detector_update_delay: float, safety_margin: float, conditions: OptimizedConditions
-) -> float | None:
-    """Reduced wait (update delay plus safety margin), or None when the
-    preconditions fail and the caller must fall back to the safe wait."""
-    if detector_update_delay < 0 or safety_margin < 0:
-        raise ValueError(
-            f"delays must be >= 0, got {detector_update_delay} and {safety_margin}"
-        )
-    if not conditions.all_hold:
-        return None
-    return detector_update_delay + safety_margin
-
-
-def schedule_update(
-    issued_at: float, sample: DelaySample, frame_period: float, safety_margin: float | None = None
-) -> UpdateTimeline:
+def schedule_update(issued_at: float, sample: DelaySample, frame_period: float) -> UpdateTimeline:
     """Lay out the event timeline for one update from sampled delays."""
     if frame_period <= 0:
         raise ValueError(f"frame_period must be > 0, got {frame_period}")
@@ -255,7 +233,6 @@ def schedule_update(
         confirm_gap=capture_loop - sample.display_confirm,
         sample=sample,
         frame_period=frame_period,
-        safety_margin=frame_period if safety_margin is None else safety_margin,
     )
 
 
@@ -278,19 +255,22 @@ def wait_window(timeline: UpdateTimeline, scheme: str) -> tuple[float, float]:
     """Half-open capture-time interval whose estimates are distrusted.
 
     Safe: every capture from the command until the safe wait has elapsed.
-    Optimized: the detector-update-plus-safety-margin window ending at the
-    deferred switch, translated from pose-ready time to capture time by the
-    transport and computation delay; captures before it are still served by
-    the old marker/old parameters pair and stay valid.
+    Optimized: every capture from the display instant (the first that can
+    show the new marker) until the deferred switch, translated from
+    pose-ready time to capture time by the transport and computation delay:
+    the new-marker frames whose poses still come out with the old
+    parameters. Captures before it show the old marker and captures after it
+    reach the new parameters, so both stay valid. A capture exactly at the
+    upper edge comes out at the switch instant, still with the old
+    parameters (``PRIO_POSE_READY`` comes first); only the config check
+    rejects it.
     """
     if scheme == "safe":
         wait = compute_safe_wait(timeline.capture_loop_delay, timeline.sample.display_confirm)
         return (timeline.issued_at, timeline.issued_at + wait)
     if scheme == "optimized":
         transport = timeline.sample.video + timeline.sample.pose
-        switch = detector_switch_time(timeline, scheme)
-        width = timeline.sample.detector_update + timeline.safety_margin
-        return (switch - width - transport, switch - transport)
+        return (timeline.display_at, detector_switch_time(timeline, scheme) - transport)
     raise ValueError(f"unknown timing scheme '{scheme}'")
 
 

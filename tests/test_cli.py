@@ -59,6 +59,19 @@ class TestConfigLoading:
         with pytest.raises(ValueError, match=r"unknown config key\(s\) \['command_lag'\] in 'controller'"):
             scenario_from_dict({"controller": {"command_lag": 0.0}})
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("delays", "safety_margin", None),  # the optimized window opens at the display instant
+        ("screen", "refresh_delay", 0.02),  # delays.display is the whole display delay
+    ])
+    def test_removed_keys_are_unknown(self, section, key, value, tmp_path, capsys):
+        doc = {section: {key: value}}
+        with pytest.raises(ValueError, match=re.escape(f"['{key}'] in '{section}'")):
+            scenario_from_dict(doc)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert key in capsys.readouterr().err
+
     def test_invalid_json_diagnosed(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json", encoding="utf-8")
@@ -200,13 +213,13 @@ class TestSchema:
         assert set(_leaves(doc)) == set(_SCHEMA) - omitted
 
     def test_each_attribute_is_set_by_one_leaf_of_its_name(self):
-        targets = [(leaf, t) for leaf, (_, *ts) in _SCHEMA.items() for t in ts]
+        targets = [(leaf, t) for leaf, (_, t) in _SCHEMA.items()]
         assert all(t.endswith(leaf.rpartition(".")[2]) for leaf, t in targets)
         assert len({t for _, t in targets}) == len(targets)
 
     @pytest.mark.parametrize("leaf", sorted(_SCHEMA))
     def test_each_leaf_sets_exactly_its_attributes(self, leaf):
-        _, *targets = _SCHEMA[leaf]
+        _, target = _SCHEMA[leaf]
         doc = {}
         if leaf.startswith("families.long_range.yaw_noise."):
             # long_range has no yaw noise to change until it yields yaw
@@ -216,15 +229,13 @@ class TestSchema:
         section = doc
         for name in parents:
             section = section.setdefault(name, {})
-        section[key] = _other_value(attrgetter(targets[0])(before))
+        section[key] = _other_value(attrgetter(target)(before))
         old, new = _attributes(before), _attributes(scenario_from_dict(doc))
         changed = {p for p in old.keys() | new.keys() if old.get(p, "absent") != new.get(p, "absent")}
-        expected = set(targets)
-        # the two rules that link fields
+        expected = {target}
+        # the rule that links two fields
         if key == "yields_yaw":
-            expected.add(targets[0].replace("yields_yaw", "yaw_noise"))
-        if leaf == "screen.refresh_delay":
-            expected.add("delays.display")
+            expected.add(target.replace("yields_yaw", "yaw_noise"))
         owners = {next((t for t in expected if p == t or p.startswith(f"{t}.")), p) for p in changed}
         assert owners == expected
 

@@ -50,14 +50,13 @@ def quiet_families(config):
     )
 
 
-def constant_delays(frame_period, value=0.0):
+def constant_delays(value=0.0):
     return DelayModel(
         detector_update=DelaySpec.constant(value),
         display=DelaySpec.constant(value),
         display_confirm=DelaySpec.constant(value),
         video=DelaySpec.constant(value),
         pose=DelaySpec.constant(value),
-        frame_period=frame_period,
     )
 
 
@@ -200,7 +199,7 @@ class TestEquilibrium:
         base = nominal_landing_scenario()
         config = replace(
             quiet_families(base),
-            delays=constant_delays(base.intrinsics.frame_period),
+            delays=constant_delays(),
             initial_position=(0.0, 0.0, 2.5),
             initial_yaw=0.0,
             landing_error_threshold=None,
@@ -413,7 +412,6 @@ class TestSchemeFallback:
             display_confirm=DelaySpec.uniform(0.05, 0.5),
             video=base.delays.video,
             pose=base.delays.pose,
-            frame_period=base.delays.frame_period,
         )
         trace = run_scenario(replace(base, delays=slow_confirm, duration=8.0))
         assert trace.scheme_requested == "optimized"
@@ -494,13 +492,13 @@ def valid_configs(draw):
     whole domain less what a cross-field rule excludes. Only ``duration``,
     ``tick_step`` and ``frame_period`` are bounded, to keep each run short."""
     base = ScenarioConfig()
-    frame_period = draw(st.floats(0.01, 0.1))
     width = draw(field_values(CameraIntrinsics, "width"))
     height = draw(field_values(CameraIntrinsics, "height"))
     fx, fy = draw(field_values(CameraIntrinsics, "fx")), draw(field_values(CameraIntrinsics, "fy"))
     assume(min(math.atan(width / (2.0 * fx)), math.atan(height / (2.0 * fy))) < math.pi / 2.0)
     intrinsics = draw_fields(
-        draw, base.intrinsics, width=width, height=height, fx=fx, fy=fy, frame_period=frame_period,
+        draw, base.intrinsics, width=width, height=height, fx=fx, fy=fy,
+        frame_period=draw(st.floats(0.01, 0.1)),
         cx=draw(st.floats(0, float(width), exclude_min=True, exclude_max=True)),
         cy=draw(st.floats(0, float(height), exclude_min=True, exclude_max=True)),
     )
@@ -540,10 +538,8 @@ def valid_configs(draw):
         full_pose_family=family(base.full_pose_family),
         policy=policy,
         size_rule=size_rule,
-        delays=draw_fields(
-            draw, base.delays, frame_period=frame_period,
-            **{name: delay() for name in ("detector_update", "display", "display_confirm", "video", "pose")},
-        ),
+        delays=DelayModel(**{name: delay() for name in
+                             ("detector_update", "display", "display_confirm", "video", "pose")}),
         duration=draw(st.floats(0.0, 1.0, exclude_min=True)),
     )
 
@@ -555,14 +551,6 @@ def run_csv(config) -> tuple[str, bytes, bytes]:
         trace_to_csv(trace, trace_path)
         events_to_csv(trace, events_path)
         return trace.status, trace_path.read_bytes(), events_path.read_bytes()
-
-
-@given(valid_configs())
-@settings(max_examples=100, deadline=None, derandomize=True)
-def test_every_valid_config_runs_to_an_end_and_repeats(config):
-    status, trace, events = run_csv(config)
-    assert status in ("landed", "timeout", "diverged")
-    assert run_csv(config) == (status, trace, events)
 
 
 @st.composite
@@ -578,6 +566,25 @@ def landing_configs(draw):
     )
     seed, index = draw(st.integers(0, 2**16)), draw(st.integers(0, 49))
     return randomized_initial_conditions(config, seed, index)
+
+
+@given(st.one_of(valid_configs(), landing_configs()))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_every_valid_config_runs_to_an_end_and_repeats(config):
+    status, trace, events = run_csv(config)
+    assert status in ("landed", "timeout", "diverged")
+    assert run_csv(config) == (status, trace, events)
+
+
+@given(landing_configs())
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_optimized_distrusts_only_mismatched_frames(config):
+    """The optimized window holds exactly the new-marker captures whose poses
+    come out before the detector switch, so every frame the engine distrusts
+    was shown with one marker and computed against another."""
+    trace = run_scenario(replace(config, timing_scheme="optimized"))
+    assert trace.scheme_effective == "optimized"
+    assert all(shown != computed for _, shown, computed, reason in trace.stamps if reason != "ok")
 
 
 @given(st.one_of(valid_configs(), landing_configs()))

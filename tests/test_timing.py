@@ -6,7 +6,6 @@ from markersim.timing import (
     DelaySample,
     DelaySpec,
     OptimizedConditions,
-    compute_optimized_wait,
     compute_safe_wait,
     detector_switch_time,
     evaluate_optimized_conditions,
@@ -37,7 +36,6 @@ def nominal_model(confirm=DelaySpec.uniform(0.035, 0.060)):
         display_confirm=confirm,
         video=DelaySpec.constant(0.005),
         pose=DelaySpec.constant(0.002),
-        frame_period=FRAME,
     )
 
 
@@ -64,10 +62,8 @@ class TestSafeWait:
 
 
 class TestOptimizedWait:
-    ALL = OptimizedConditions(True, True, True)
-
-    def test_sum_when_applicable(self):
-        assert compute_optimized_wait(0.005, 0.033, self.ALL) == pytest.approx(0.038)
+    """When the optimized scheme applies; ``TestOptimizedScheme`` tests its
+    window."""
 
     @pytest.mark.parametrize(
         "conds",
@@ -78,18 +74,16 @@ class TestOptimizedWait:
         ],
     )
     def test_not_applicable_when_any_condition_fails(self, conds):
-        assert compute_optimized_wait(0.005, 0.033, conds) is None
-
-    def test_degenerate_zero(self):
-        assert compute_optimized_wait(0.0, 0.0, self.ALL) == 0.0
+        assert not conds.all_hold
+        assert OptimizedConditions(True, True, True).all_hold
 
     def test_condition_evaluation_nominal(self):
-        conds = evaluate_optimized_conditions(nominal_model())
+        conds = evaluate_optimized_conditions(nominal_model(), FRAME)
         assert conds.all_hold
 
     def test_condition_fails_on_slow_confirm(self):
         conds = evaluate_optimized_conditions(
-            nominal_model(confirm=DelaySpec.uniform(0.035, 0.2))
+            nominal_model(confirm=DelaySpec.uniform(0.035, 0.2)), FRAME
         )
         assert not conds.confirm_below_loop and not conds.all_hold
 
@@ -100,9 +94,8 @@ class TestOptimizedWait:
             display_confirm=DelaySpec.constant(0.040),
             video=DelaySpec.uniform(0.0, 0.03),
             pose=DelaySpec.constant(0.002),
-            frame_period=FRAME,
         )
-        assert not evaluate_optimized_conditions(model).capture_pose_constant
+        assert not evaluate_optimized_conditions(model, FRAME).capture_pose_constant
 
 
 class TestScheduleUpdate:
@@ -150,7 +143,6 @@ class TestScheduleUpdate:
             display_confirm=DelaySpec.uniform(0.0, 0.01),  # would precede display
             video=DelaySpec.constant(0.0),
             pose=DelaySpec.constant(0.0),
-            frame_period=FRAME,
         )
         sample = model.sample(np.random.default_rng(0))
         assert sample.display_confirm >= sample.display
@@ -266,6 +258,34 @@ class TestSafetyProperty:
                 assert not (o.stamp.valid and o.mismatched)
                 mismatches += o.mismatched
         assert mismatches > 0  # the race actually occurred in the sample set
+
+
+class TestOptimizedWindowIsTheMismatch:
+    """The optimized window runs from the display instant to the last capture
+    whose pose comes out before the detector switch: it distrusts exactly the
+    frames the update corrupts."""
+
+    def test_criterion_2_delays_lose_one_frame_at_any_phase(self):
+        rng = np.random.default_rng(8)
+        for _ in range(10_000):
+            sample = nominal_sample(display_confirm=float(rng.uniform(0.035, 0.060)))
+            timeline = schedule_update(float(rng.uniform(0.0, 10.0)), sample, FRAME)
+            phase = float(rng.uniform(0.0, FRAME))
+            invalid = [o for o in replay_update_frames(timeline, "optimized", phase)
+                       if not o.stamp.valid]
+            assert len(invalid) == 1 and invalid[0].mismatched
+
+    def test_distrusted_exactly_when_mismatched(self):
+        rng = np.random.default_rng(2026)
+        updates, mismatched = 10_000, 0
+        for _ in range(updates):
+            sample, frame = random_physical_sample(rng)
+            timeline = schedule_update(rng.uniform(0.0, 2.0), sample, frame)
+            lo, hi = wait_window(timeline, "optimized")
+            for o in replay_update_frames(timeline, "optimized", rng.uniform(0.0, frame)):
+                assert (not o.stamp.valid) == o.mismatched == (lo <= o.capture_time < hi)
+                mismatched += o.mismatched
+        assert mismatched >= updates  # the window spans at least one frame period
 
 
 def reference_replay(timeline, scheme, frame_phase):
