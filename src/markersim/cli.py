@@ -81,16 +81,18 @@ def run_batch(config: ScenarioConfig, n: int, seed_base: int, jobs: int = 1) -> 
     return summaries
 
 
+def _write_batch(summaries: list[dict], out: Path, **extra) -> dict:
+    """Write one summary per run and the aggregate, with ``extra`` keys, to ``out``."""
+    for summary in summaries:
+        _write_json(summary, out / f"run_{summary['run_index']:03d}.json")
+    agg = {**aggregate_summaries(summaries), **extra}
+    _write_json(agg, out / "aggregate.json")
+    return agg
+
+
 def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "strategy", None):
-        overrides["strategy"] = args.strategy
-    if args.timing_scheme:
-        overrides["timing_scheme"] = args.timing_scheme
-    if args.size_rule:
-        overrides["size_rule"] = args.size_rule
+    names = ("seed", "strategy", "timing_scheme", "size_rule")
+    overrides = {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
     return replace(config, **overrides) if overrides else config
 
 
@@ -121,11 +123,7 @@ def _cmd_batch(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     seed_base = config.seed if args.seed is None else args.seed
     summaries = run_batch(config, args.n, seed_base, jobs=args.jobs)
-    for summary in summaries:
-        _write_json(summary, out / f"run_{summary['run_index']:03d}.json")
-    agg = aggregate_summaries(summaries)
-    agg["seed_base"] = seed_base
-    _write_json(agg, out / "aggregate.json")
+    agg = _write_batch(summaries, out, seed_base=seed_base)
     mean_err = agg["mean_lateral_error"]
     print(f"runs={agg['runs']} landed={agg['landed']} "
           f"mean_lateral_error={mean_err if mean_err is None else round(mean_err, 4)}")
@@ -150,21 +148,15 @@ def _cmd_compare(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seed_base = config.seed if args.seed is None else args.seed
-    results = {}
+    results, aggregates = {}, {}
     for strategy in STRATEGIES:
         # identical seeds across strategies: differences are attributable to
         # the marker strategy alone
         summaries = run_batch(replace(config, strategy=strategy), args.n, seed_base, jobs=args.jobs)
         results[strategy] = summaries
-        subdir = out / strategy
-        subdir.mkdir(exist_ok=True)
-        for summary in summaries:
-            _write_json(summary, subdir / f"run_{summary['run_index']:03d}.json")
-        _write_json(aggregate_summaries(summaries), subdir / "aggregate.json")
-    _write_json(
-        {strategy: aggregate_summaries(s) for strategy, s in results.items()},
-        out / "comparison.json",
-    )
+        (out / strategy).mkdir(exist_ok=True)
+        aggregates[strategy] = _write_batch(summaries, out / strategy)
+    _write_json(aggregates, out / "comparison.json")
 
     def cell(value):
         if value is None:

@@ -106,14 +106,6 @@ class Pose:
         )
         return pose
 
-    @classmethod
-    def identity(cls, frame: str, to_frame: str | None = None) -> "Pose":
-        return cls(np.eye(3), np.zeros(3), frame, to_frame if to_frame is not None else frame)
-
-    def transform(self, point: np.ndarray) -> np.ndarray:
-        """Map a point from ``from_frame`` coordinates into ``to_frame``."""
-        return self.rotation @ np.asarray(point, dtype=float) + self.translation
-
 
 def compose(a: Pose, b: Pose) -> Pose:
     """Chain two transforms: the result maps ``b.from_frame`` to ``a.to_frame``."""

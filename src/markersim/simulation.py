@@ -5,11 +5,12 @@ one event queue.
 
 Events carry exact timestamps. The vehicle state changes only at events:
 between two events the body twist is constant, and the state moves by that
-twist's exact rigid-body motion in one step. Trace rows are queue events too,
-the k-th at ``k * tick_step``; a row samples the exact motion at its instant
-without changing the state. So the tick sets only the trace cadence: the
-path, the events and the rows at any shared instant do not depend on it.
-Two runs with the same configuration and seed produce byte-identical traces.
+twist's exact rigid-body motion in one step. A run ends at the duration or at
+the exact instant the vehicle is down or out of bounds, found by bisection
+inside its segment. The trace rows, the k-th at ``k * tick_step``, are
+sampled from a log of the events after the run (``TraceRows``), so the tick
+sets only the trace cadence. Two runs with the same configuration and seed
+produce byte-identical traces.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -26,25 +29,12 @@ from .geometry import Pose, check_translation, invert, rot_x, rot_z, vector_norm
 from .marker import FamilyKind, MarkerConfig
 from .marker_control import apply_update, bootstrap_config, select_marker
 from .pbvs import VelocityCommand, clamp_command, control_law, error_and_rotation, with_descent
-from .perception import (
-    DetectorParams,
-    NoDetection,
-    camera_position_in_marker,
-    simulate_detection,
-)
+from .perception import DetectorParams, NoDetection, camera_position_in_marker, simulate_detection
 from .scenario import ScenarioConfig
-from .timing import (
-    PRIO_GRAB,
-    PRIO_POSE_READY,
-    UpdateProtocol,
-    evaluate_optimized_conditions,
-    schedule_update,
-)
+from .timing import (PRIO_GRAB, PRIO_POSE_READY, UpdateProtocol, evaluate_optimized_conditions,
+                     schedule_update)
 
-# Trace rows come before every event at equal timestamps, so a row shows the
-# state before the events at its instant; external events come after every
-# update-protocol event.
-_PRIO_RECORD = -1
+# External events come after every update-protocol event at equal timestamps.
 _PRIO_LANDING = 6
 _PRIO_END = 9
 
@@ -162,15 +152,93 @@ class EventRecord(NamedTuple):
     config_id: int
 
 
+class _Entry(NamedTuple):
+    """The engine after the handlers of one event; ``note`` holds a pose
+    result's row cells (detect_status to est_yaw), None for other events."""
+
+    time: float
+    state: VehicleState
+    cmd: VelocityCommand
+    displayed: MarkerConfig
+    believed: int
+    landing: bool
+    note: tuple | None
+
+
+_NO_NOTE = ("", "", None, None, None, None)
+
+
+class TraceRows(Sequence):
+    """The trace rows of a finished run, sampled on demand from its event log.
+
+    Row k is at ``k * tick_step``, for every such instant up to the end. It
+    samples the motion from the last entry strictly before its instant, so it
+    shows the state before the events there, and its notes are the last in
+    ``[t_{k-1}, t_k)``. A run that ends between rows adds an end row: the
+    last entry, with the last notes since the previous row.
+    """
+
+    def __init__(self, log: list[_Entry], tick_step: float):
+        self._log, self._tick = log, tick_step
+        end = log[-1].time
+        last = int(end / tick_step) + 1
+        while last * tick_step > end:
+            last -= 1
+        self._ticks = last + 1
+        self._len = self._ticks + (last * tick_step < end * (1.0 - _END_RTOL))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return list(self)[k]
+        return next(self._rows(range(self._len)[k]))
+
+    def __iter__(self):
+        return self._rows(0)
+
+    def _rows(self, first: int):
+        """The rows from ``first`` on, in one walk over the log from the last
+        entry before the first row's notes begin."""
+        log, tick, last = self._log, self._tick, len(self._log) - 1
+        i = max(bisect_left(log, (first - 1) * tick, key=lambda entry: entry.time) - 1, 0)
+        for k in range(first, self._len):
+            end_row = k == self._ticks  # it takes every entry left
+            t = log[-1].time if end_row else k * tick
+            note = None
+            while i < last and (end_row or log[i + 1].time < t):
+                i += 1
+                note = log[i].note or note
+            yield _row(t, log[i], note)
+
+
+def _row(t: float, entry: _Entry, note: tuple | None) -> TickRecord:
+    state, shown, cmd = entry.state, entry.displayed, entry.cmd
+    pose = state.pose if t == entry.time else vehicle_step(state, cmd, t - entry.time).pose
+    p = pose.translation
+    return TickRecord(
+        t, float(p[0]), float(p[1]), float(p[2]), _vehicle_yaw(pose), vector_norm(p),
+        *(note or _NO_NOTE),
+        shown.config_id,
+        "full_pose" if shown.family.kind is FamilyKind.SHORT_RANGE_FULL_POSE else "long_range",
+        shown.marker_size, shown.n_cells, entry.believed,
+        float(cmd.linear[0]), float(cmd.linear[1]), float(cmd.linear[2]), float(cmd.angular[2]),
+        int(entry.landing),
+    )
+
+
 @dataclass
 class SimTrace:
     """Full record of one run plus the counters the metrics derive from.
 
+    ``records`` is the row sequence (a ``TraceRows`` for an engine run).
     ``stamps`` is the validity audit: one (capture_time, displayed_config_id,
-    computed_against_id, reason) tuple per successful detection.
+    computed_against_id, reason) tuple per successful detection. A window
+    dropout is a capture inside an update's wait window that gave no detection.
     """
 
-    records: list
+    records: Sequence
     events: list
     stamps: list
     status: str  # landed | timeout | diverged
@@ -179,6 +247,7 @@ class SimTrace:
     detection_count: int
     dropout_count: int
     invalid_count: int
+    window_dropout_count: int
     marker_update_count: int
     family_switch_count: int
     max_detection_distance: float | None
@@ -199,49 +268,35 @@ class _Engine:
         self.rng = np.random.default_rng(config.seed)
         x, y, z = config.initial_position
         self.state = VehicleState(camera_pose_in_marker(x, y, z, config.initial_yaw), 0.0)
-        self.desired = invert(
-            camera_pose_in_marker(0.0, 0.0, config.desired_height, config.desired_yaw, "camera_desired")
-        )
+        self.desired = invert(camera_pose_in_marker(0.0, 0.0, config.desired_height,
+                                                    config.desired_yaw, "camera_desired"))
 
         # dynamic and static-long-range both start from the long-range
         # bootstrap so the first detection succeeds from far away
-        family = (
-            config.full_pose_family
-            if config.strategy == "static-full-pose"
-            else config.long_range_family
-        )
+        family = (config.full_pose_family if config.strategy == "static-full-pose"
+                  else config.long_range_family)
         initial = bootstrap_config(family, config.screen, config.fill_factor)
         self.displayed = initial
         self.detector = DetectorParams(believed_config=initial, intrinsics=config.intrinsics)
         self.commanded = initial
 
-        scheme = config.timing_scheme
-        if scheme == "optimized" and not evaluate_optimized_conditions(
-            config.delays, config.intrinsics.frame_period
-        ).all_hold:
-            scheme = "safe"
-        self.protocol = UpdateProtocol(scheme)
+        conditions = evaluate_optimized_conditions(config.delays, config.intrinsics.frame_period)
+        self.protocol = UpdateProtocol(config.timing_scheme if conditions.all_hold else "safe")
 
         self.cmd = VelocityCommand.zero()
         self.landing = False
         self.in_flight: MarkerConfig | None = None
         self.pending: MarkerConfig | None = None
 
-        self.records: list[TickRecord] = []
+        self.log: list[_Entry] = []
         self.events: list[EventRecord] = []
         self.stamp_audit: list[tuple] = []
-        self.detections = 0
-        self.dropouts = 0
-        self.invalid = 0
-        self.updates = 0
-        self.family_switches = 0
+        self.detections = self.dropouts = self.invalid = self.window_dropouts = 0
+        self.updates = self.family_switches = 0
         self.max_detect_dist: float | None = None
 
         self.status = "running"
         self.touchdown_time: float | None = None
-        self._note_detect = ""
-        self._note_valid = ""
-        self._note_est = (None, None, None, None)
         self._heap = []
         self._seq = 0
 
@@ -249,60 +304,44 @@ class _Engine:
         heapq.heappush(self._heap, (time, prio, self._seq, kind, payload))
         self._seq += 1
 
-    # -- motion and recording ----------------------------------------------
+    # -- motion, termination and the log ---------------------------------
 
-    def _check_termination(self, time: float, pose: Pose) -> bool:
-        # Leaving the bounds is checked first: a step that overshoots the
-        # touchdown height far enough to pass below the ground is a crash.
-        t = pose.translation
-        if (
-            math.hypot(t[0], t[1]) > self.cfg.bounds_radius
-            or t[2] > self.cfg.bounds_height
-            or t[2] < -0.05
-        ):
-            self.status = "diverged"
-            return True
-        if self.landing and t[2] <= self.cfg.touchdown_height:
-            self.status = "landed"
-            self.touchdown_time = time
-            return True
-        return False
+    def _outcome(self, pose: Pose) -> str | None:
+        # Leaving the bounds is checked first. At the exact crossing a landing
+        # descent is down before it reaches the ground bound, at any speed.
+        x, y, z = pose.translation
+        if math.hypot(x, y) > self.cfg.bounds_radius or not -0.05 <= z <= self.cfg.bounds_height:
+            return "diverged"
+        if self.landing and z <= self.cfg.touchdown_height:
+            return "landed"
+        return None
 
-    def _record(self, time: float, pose: Pose):
-        t = pose.translation
-        yaw = _vehicle_yaw(pose)
-        est = self._note_est
-        self.records.append(
-            TickRecord(
-                time=time,
-                x=float(t[0]),
-                y=float(t[1]),
-                z=float(t[2]),
-                yaw=yaw,
-                distance=vector_norm(t),
-                detect_status=self._note_detect,
-                validity=self._note_valid,
-                est_x=est[0],
-                est_y=est[1],
-                est_z=est[2],
-                est_yaw=est[3],
-                displayed_config=self.displayed.config_id,
-                displayed_family="full_pose"
-                if self.displayed.family.kind is FamilyKind.SHORT_RANGE_FULL_POSE
-                else "long_range",
-                displayed_size=self.displayed.marker_size,
-                displayed_cells=self.displayed.n_cells,
-                believed_config=self.detector.believed_config.config_id,
-                cmd_vx=float(self.cmd.linear[0]),
-                cmd_vy=float(self.cmd.linear[1]),
-                cmd_vz=float(self.cmd.linear[2]),
-                cmd_wz=float(self.cmd.angular[2]),
-                landing=int(self.landing),
-            )
-        )
-        self._note_detect = ""
-        self._note_valid = ""
-        self._note_est = (None, None, None, None)
+    def _move_to(self, time: float) -> bool:
+        """Move the vehicle to ``time`` under the held twist, or to the first
+        instant on the way where it is down or out of bounds; return whether
+        the run ended there."""
+        start = self.state
+        if time != start.time:
+            self.state = VehicleState(vehicle_step(start, self.cmd, time - start.time).pose, time)
+        if self._outcome(self.state.pose) is None:
+            return False
+        lo, hi = start.time, time
+        if self._outcome(start.pose) is not None:
+            self.state, hi = start, lo
+        while lo < (mid := 0.5 * (lo + hi)) < hi:  # lo is short of the end, hi at or past it
+            probe = VehicleState(vehicle_step(start, self.cmd, mid - start.time).pose, mid)
+            if self._outcome(probe.pose) is None:
+                lo = mid
+            else:
+                hi, self.state = mid, probe
+        self.status = self._outcome(self.state.pose)
+        if self.status == "landed":
+            self.touchdown_time = self.state.time
+        return True
+
+    def _log_entry(self, note: tuple | None = None):
+        self.log.append(_Entry(self.state.time, self.state, self.cmd, self.displayed,
+                               self.detector.believed_config.config_id, self.landing, note))
 
     # -- event handlers ----------------------------------------------------
 
@@ -314,37 +353,26 @@ class _Engine:
         self._push((k + 1) * self.cfg.intrinsics.frame_period, PRIO_GRAB, "grab", k + 1)
 
     def _on_pose_ready(self, now: float, capture_time, true_rel, displayed_at_capture):
-        result = simulate_detection(
-            true_rel, displayed_at_capture, self.detector, self.rng, capture_time=capture_time
-        )
+        result = simulate_detection(true_rel, displayed_at_capture, self.detector, self.rng,
+                                    capture_time=capture_time)
         if isinstance(result, NoDetection):
             self.dropouts += 1
-            self._note_detect = f"no-detection:{result.reason}"
-            return
+            self.window_dropouts += self.protocol.window_of(capture_time) is not None
+            return (f"no-detection:{result.reason}", *_NO_NOTE[1:])
         self.detections += 1
-        true_dist = vector_norm(true_rel.translation)
-        if self.max_detect_dist is None or true_dist > self.max_detect_dist:
-            self.max_detect_dist = true_dist
-        stamp = self.protocol.stamp(
-            capture_time, displayed_at_capture.config_id, result.computed_against
-        )
-        self.stamp_audit.append(
-            (capture_time, displayed_at_capture.config_id, result.computed_against, stamp.reason)
-        )
-        self._note_detect = "detected"
-        self._note_valid = stamp.reason
+        self.max_detect_dist = max(self.max_detect_dist or 0.0, vector_norm(true_rel.translation))
+        shown = displayed_at_capture.config_id
+        stamp = self.protocol.stamp(capture_time, shown, result.computed_against)
+        self.stamp_audit.append((capture_time, shown, result.computed_against, stamp.reason))
         cam = camera_position_in_marker(result)
-        self._note_est = (float(cam[0]), float(cam[1]), float(cam[2]), result.yaw)
+        note = ("detected", stamp.reason, float(cam[0]), float(cam[1]), float(cam[2]), result.yaw)
         if not stamp.valid:
             self.invalid += 1
-            return
+            return note
 
         error, rotation = error_and_rotation(result, self.desired)
-        cmd = clamp_command(
-            control_law(error, self.cfg.gain, rotation),
-            self.cfg.max_linear_speed,
-            self.cfg.max_angular_speed,
-        )
+        cmd = clamp_command(control_law(error, self.cfg.gain, rotation),
+                            self.cfg.max_linear_speed, self.cfg.max_angular_speed)
         if (
             not self.landing
             and self.cfg.landing_error_threshold is not None
@@ -358,23 +386,18 @@ class _Engine:
         self.cmd = cmd
 
         if self.cfg.strategy == "dynamic":
+            cfg = self.cfg
             proposal = select_marker(
-                result,
-                self.cfg.policy,
-                self.cfg.intrinsics,
-                self.cfg.screen,
-                self.commanded,
-                self.cfg.long_range_family,
-                self.cfg.full_pose_family,
-                size_variant=self.cfg.size_rule,
-                gap_fraction=self.cfg.gap_fraction,
-                fill_factor=self.cfg.fill_factor,
+                result, cfg.policy, cfg.intrinsics, cfg.screen, self.commanded,
+                cfg.long_range_family, cfg.full_pose_family, size_variant=cfg.size_rule,
+                gap_fraction=cfg.gap_fraction, fill_factor=cfg.fill_factor,
             )
             if proposal is not None:
                 if self.in_flight is not None:
                     self.pending = proposal  # coalesce: only the latest survives
                 else:
                     self._start_update(proposal, now)
+        return note
 
     def _start_update(self, marker: MarkerConfig, now: float):
         sample = self.cfg.delays.sample(self.rng)
@@ -403,55 +426,44 @@ class _Engine:
 
     def run(self) -> SimTrace:
         cfg = self.cfg
-        self._push(0.0, _PRIO_RECORD, "record", 0)
         self._push(0.0, PRIO_GRAB, "grab", 0)
         if cfg.landing_trigger_time is not None:
             self._push(cfg.landing_trigger_time, _PRIO_LANDING, "landing_trigger")
         self._push(cfg.duration, _PRIO_END, "end")
 
-        pose, posed_at = self.state.pose, 0.0
+        self._log_entry()
         while True:  # the end event stops the loop at the latest
             time, _, _, kind, payload = heapq.heappop(self._heap)
-            if time != posed_at:
-                # the exact motion from the last event's state under the held
-                # twist; every event at one instant shares its pose
-                pose = vehicle_step(self.state, self.cmd, time - self.state.time).pose
-                posed_at = time
-            if kind != "record":
-                self.state = VehicleState(pose, time)
-            if self._check_termination(time, pose):
-                self._record(time, pose)
+            if self._move_to(time):
                 break
-            if kind == "record":
-                self._record(time, pose)
-                self._push((payload + 1) * cfg.tick_step, _PRIO_RECORD, "record", payload + 1)
-            elif kind == "end":
+            note = None
+            if kind == "end":
                 self.status = "timeout"
-                if self.records[-1].time < time * (1.0 - _END_RTOL):
-                    self._record(time, pose)
                 break
             elif kind == "grab":
                 self._on_grab(time, payload)
             elif kind == "pose-ready":
-                self._on_pose_ready(time, *payload)
+                note = self._on_pose_ready(time, *payload)
             elif kind == "landing_trigger":
                 self.landing = True
                 self.cmd = with_descent(self.cmd, cfg.descent_rate)
             else:
                 self._on_update_event(time, kind, payload)
+            self._log_entry(note)
+        self._log_entry()  # the end row's state
 
-        t = pose.translation
-        final_yaw = _vehicle_yaw(pose)
+        t = self.state.pose.translation
         return SimTrace(
-            records=self.records,
+            records=TraceRows(self.log, cfg.tick_step),
             events=self.events,
             stamps=self.stamp_audit,
             status=self.status,
             touchdown_time=self.touchdown_time,
-            final_state=(float(t[0]), float(t[1]), float(t[2]), final_yaw),
+            final_state=(float(t[0]), float(t[1]), float(t[2]), _vehicle_yaw(self.state.pose)),
             detection_count=self.detections,
             dropout_count=self.dropouts,
             invalid_count=self.invalid,
+            window_dropout_count=self.window_dropouts,
             marker_update_count=self.updates,
             family_switch_count=self.family_switches,
             max_detection_distance=self.max_detect_dist,
@@ -488,6 +500,7 @@ def collect_metrics(trace: SimTrace) -> dict:
         "detection_count": trace.detection_count,
         "dropout_count": trace.dropout_count,
         "invalid_count": trace.invalid_count,
+        "window_dropout_count": trace.window_dropout_count,
         "marker_update_count": trace.marker_update_count,
         "family_switch_count": trace.family_switch_count,
         "max_detection_distance": trace.max_detection_distance,
@@ -498,18 +511,19 @@ def collect_metrics(trace: SimTrace) -> dict:
     }
 
 
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def trace_to_csv(trace: SimTrace, path):
     """Write the per-tick records; one row per record, columns as documented
     in the README (SI units, radians)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_COLUMNS)
-        writer.writerows(trace.records)
+    _write_csv(path, TRACE_COLUMNS, trace.records)
 
 
 def events_to_csv(trace: SimTrace, path):
     """Write the marker-update protocol event log."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("time", "event", "config_id"))
-        writer.writerows(trace.events)
+    _write_csv(path, ("time", "event", "config_id"), trace.events)

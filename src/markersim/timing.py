@@ -148,7 +148,6 @@ class UpdateTimeline:
     pose_ready_at: float
     capture_pose_delay: float
     capture_loop_delay: float
-    confirm_gap: float
     sample: DelaySample
     frame_period: float
 
@@ -230,7 +229,6 @@ def schedule_update(issued_at: float, sample: DelaySample, frame_period: float) 
         pose_ready_at=issued_at + sample.display + capture_pose,
         capture_pose_delay=capture_pose,
         capture_loop_delay=capture_loop,
-        confirm_gap=capture_loop - sample.display_confirm,
         sample=sample,
         frame_period=frame_period,
     )
@@ -339,16 +337,19 @@ class UpdateProtocol:
         push(update_complete_time(timeline, self.scheme), PRIO_UPDATE_COMPLETE, "update-complete",
              payload)
 
-    def stamp(self, capture_time: float, displayed_id: int, computed_against: int) -> ValidityStamp:
-        """Stamp an estimate against the newest update whose window has opened
-        by its capture time."""
-        active = None
+    def window_of(self, capture_time: float) -> UpdateTimeline | None:
+        """The update whose wait window holds ``capture_time``: the newest
+        whose window has opened by then, if that window has not closed."""
         for timeline in reversed(self.timelines):
             lo, hi = wait_window(timeline, self.scheme)
             if capture_time >= lo:
-                active = timeline if capture_time < hi else None
-                break
-        return stamp_validity(capture_time, displayed_id, computed_against, active, self.scheme)
+                return timeline if capture_time < hi else None
+        return None
+
+    def stamp(self, capture_time: float, displayed_id: int, computed_against: int) -> ValidityStamp:
+        """Stamp an estimate against the update whose window holds its capture."""
+        return stamp_validity(capture_time, displayed_id, computed_against,
+                              self.window_of(capture_time), self.scheme)
 
 
 @dataclass(frozen=True)

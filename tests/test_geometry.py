@@ -49,7 +49,7 @@ class TestPose:
     def test_compose_identity(self):
         rng = np.random.default_rng(1)
         p = random_pose(rng)
-        q = compose(p, Pose.identity("a"))
+        q = compose(p, Pose(np.eye(3), np.zeros(3), "a", "a"))
         np.testing.assert_allclose(q.rotation, p.rotation, atol=1e-12)
         np.testing.assert_allclose(q.translation, p.translation, atol=1e-12)
 
@@ -72,8 +72,8 @@ class TestPose:
         assert c.from_frame == "base" and c.to_frame == "top"
 
     def test_compose_frame_mismatch_names_both_frames(self):
-        a = Pose.identity("x", "y")
-        b = Pose.identity("p", "q")
+        a = Pose(np.eye(3), np.zeros(3), "x", "y")
+        b = Pose(np.eye(3), np.zeros(3), "p", "q")
         with pytest.raises(ValueError, match="'x'.*'q'"):
             compose(a, b)
 
@@ -127,10 +127,6 @@ class TestPose:
         right = compose(a, compose(b, c))
         np.testing.assert_allclose(left.rotation, right.rotation, atol=1e-9)
         np.testing.assert_allclose(left.translation, right.translation, atol=1e-9)
-
-    def test_transform_point(self):
-        p = Pose(ROT_Z_90, [0.0, 0.0, 1.0], "a", "b")
-        np.testing.assert_allclose(p.transform([1.0, 0.0, 0.0]), [0.0, 1.0, 1.0], atol=1e-12)
 
     def test_package_exports_no_private_name(self):
         # Pose._unchecked skips both checks; only the library may reach it.

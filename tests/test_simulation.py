@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from markersim import geometry, pbvs, perception, simulation
+from markersim import geometry, pbvs, perception, simulation, timing
 from markersim.domain import Domain, declared
 from markersim.geometry import CameraIntrinsics, Pose, _rotation_defect, fov_half_angle
 from markersim.marker import MarkerFamily, NoiseProfile
@@ -146,19 +146,22 @@ class TestVehicleStep:
 
 
 def test_records_do_not_depend_on_the_tick():
-    # The vehicle moves only at events, and a row samples the exact motion
-    # without moving it, so a tick only sets where the rows fall: the rows at
-    # equal instants agree bit for bit, and so do the events and the stamps
-    # up to the earliest end.
+    # The vehicle moves only at events, the run ends at the exact crossing,
+    # and rows are sampled from the event log after the run, so a tick only
+    # sets where the rows fall: the rows at equal instants agree bit for bit,
+    # and so do the end, the events and the stamps.
     notes = [TRACE_COLUMNS.index(name) for name in
              ("detect_status", "validity", "est_x", "est_y", "est_z", "est_yaw")]
     state = [i for i in range(len(TRACE_COLUMNS)) if i not in notes]
     nominal = nominal_landing_scenario()
     for base in [nominal] + [randomized_initial_conditions(nominal, 9, i) for i in range(4)]:
         runs = [run_scenario(replace(base, tick_step=t)) for t in (0.016, 0.01, 0.004, 0.002, 0.001)]
-        end = min(trace.records[-1].time for trace in runs)
         coarse = runs[0]
         for trace in runs[1:]:
+            assert (trace.status, trace.touchdown_time, trace.final_state) == (
+                coarse.status, coarse.touchdown_time, coarse.final_state)
+            assert trace.events == coarse.events
+            assert trace.stamps == coarse.stamps
             rows = {r.time: r for r in trace.records}
             shared = [r for r in coarse.records if r.time in rows]
             assert len(shared) >= len(coarse.records) // 6  # 0.016 and 0.01 share every fifth coarse row
@@ -175,10 +178,6 @@ def test_records_do_not_depend_on_the_tick():
                     last = noted[k] if k >= 0 and noted[k].time > prev.time else None
                     expected = [last[i] for i in notes] if last else ["", "", None, None, None, None]
                     assert [cur[i] for i in notes] == expected
-            early = [e for e in trace.events if e.time < end]
-            assert early == [e for e in coarse.events if e.time < end]
-            count = min(len(trace.stamps), len(coarse.stamps))
-            assert trace.stamps[:count] == coarse.stamps[:count]
 
 
 @pytest.mark.parametrize("duration, tick_step", [(60.0, 0.01), (4.0, 0.001)])
@@ -372,7 +371,7 @@ class TestMetrics:
             records=[record], events=[], stamps=[], status=status,
             touchdown_time=touchdown if status == "landed" else None,
             final_state=(x, y, 0.015, yaw), detection_count=10, dropout_count=1,
-            invalid_count=2, marker_update_count=3, family_switch_count=1,
+            invalid_count=2, window_dropout_count=1, marker_update_count=3, family_switch_count=1,
             max_detection_distance=2.5, desired_yaw=0.0, seed=0,
             strategy="dynamic", scheme_requested="optimized",
             scheme_effective="optimized", size_rule="consistent",
@@ -403,6 +402,36 @@ class TestMetrics:
         assert m["initial_yaw_error"] == pytest.approx(0.5)
 
 
+def test_window_dropouts_complete_the_update_loss():
+    """Every capture inside an update's wait window is lost to the update:
+    stamped invalid when detected, a window dropout when not."""
+    captures, timelines = [], []
+
+    def detect(*args, capture_time):
+        captures.append(capture_time)
+        return perception.simulate_detection(*args, capture_time=capture_time)
+
+    def schedule(*args):
+        timelines.append(timing.schedule_update(*args))
+        return timelines[-1]
+
+    nominal, lost, dropouts = nominal_landing_scenario(), 0, 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "simulate_detection", detect)
+        mp.setattr(simulation, "schedule_update", schedule)
+        for i in range(8):
+            captures.clear()
+            timelines.clear()
+            trace = run_scenario(randomized_initial_conditions(nominal, 2026, i))
+            assert trace.scheme_effective == "optimized"
+            windows = [timing.wait_window(tl, "optimized") for tl in timelines]
+            inside = sum(any(lo <= c < hi for lo, hi in windows) for c in captures)
+            assert trace.invalid_count + trace.window_dropout_count == inside
+            lost += inside
+            dropouts += trace.window_dropout_count
+    assert lost and dropouts  # some window frames gave no detection
+
+
 class TestSchemeFallback:
     def test_optimized_falls_back_when_conditions_fail(self):
         base = nominal_landing_scenario()
@@ -429,24 +458,41 @@ class TestDivergence:
         )
         trace = run_scenario(config)
         assert trace.status == "diverged"
+        # the run ends where it crosses the bound, not at the next event
+        assert 3.0 < trace.final_state[2] <= 3.0 + 2 * math.ulp(3.0)
+        assert trace.records[-1].z == trace.final_state[2]
+
+
+class TestExactEnd:
+    def descent(self, **changes):
+        """A quiet, delay-free hover at 0.5 m, landing triggered at 0.5 s."""
+        return replace(
+            quiet_families(nominal_landing_scenario()),
+            **{"delays": constant_delays(), "initial_position": (0.0, 0.0, 0.5),
+               "desired_height": 0.5, "landing_error_threshold": None,
+               "landing_trigger_time": 0.5, "duration": 2.0, **changes},
+        )
 
     @pytest.mark.parametrize("descent_rate", [100.0, 1e6])
-    def test_descent_through_the_ground_is_diverged(self, descent_rate):
-        # one sub-step carries the vehicle from above the touchdown height to
-        # below the ground: a crash, not a landing
-        config = replace(
-            nominal_landing_scenario(),
-            initial_position=(0.0, 0.0, 0.5),
-            desired_height=0.5,
-            descent_rate=descent_rate,
-            landing_error_threshold=None,
-            landing_trigger_time=0.5,
-            duration=2.0,
-        )
-        trace = run_scenario(config)
-        assert trace.status == "diverged"
-        assert trace.touchdown_time is None
-        assert trace.final_state[2] < -0.05
+    def test_fast_descent_lands_at_the_crossing(self, descent_rate):
+        # The end is the first instant the vehicle is down, however far the
+        # segment it happens in would carry it: a landing descent reaches the
+        # touchdown height before the ground bound at any rate.
+        trace = run_scenario(self.descent(descent_rate=descent_rate))
+        assert trace.status == "landed"
+        expected = 0.5 + 0.48 / descent_rate
+        assert abs(trace.touchdown_time - expected) <= 2 * math.ulp(expected)
+        # within the distance one float step of time moves the vehicle
+        z = trace.final_state[2]
+        assert 0.02 - descent_rate * math.ulp(trace.touchdown_time) < z <= 0.02
+        assert trace.records[-1].time == trace.touchdown_time
+
+    def test_landing_armed_below_the_touchdown_height_ends_at_once(self):
+        trace = run_scenario(self.descent(initial_position=(0.0, 0.0, 0.01), landing_trigger_time=0.505))
+        assert trace.status == "landed"
+        assert trace.touchdown_time == 0.505
+        assert trace.final_state[2] == 0.01
+        assert trace.records[-1].time == 0.505 and trace.records[-1].landing == 1
 
 
 def domain_values(domain: Domain, like=None):
@@ -610,3 +656,30 @@ def test_engine_made_rotations_stay_proper(config):
             mp.setattr(module, name, tracked(getattr(geometry, name), lambda pose: pose))
         run_scenario(config)
     assert defects and max(defects) <= 1e-9
+
+
+@given(st.one_of(valid_configs(), landing_configs()), st.floats(0.001, 1.0), st.floats(0.001, 1.0))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_the_run_does_not_depend_on_the_tick(config, tick_a, tick_b):
+    """Two ticks give bit-identical ends, events and stamps, and equal rows
+    at every instant both sample (notes aside: they describe the interval
+    since the previous row)."""
+    # a is the sparser run: its rows are all built, b's only where they share an instant
+    (tick_a, a), (tick_b, b) = sorted(
+        ((t, run_scenario(replace(config, tick_step=t))) for t in (tick_a, tick_b)),
+        key=lambda run: len(run[1].records),
+    )
+    assert (a.status, a.touchdown_time, a.final_state) == (b.status, b.touchdown_time, b.final_state)
+    assert a.events == b.events
+    assert a.stamps == b.stamps
+    notes = {"detect_status", "validity", "est_x", "est_y", "est_z", "est_yaw"}
+    state = [i for i, name in enumerate(TRACE_COLUMNS) if name not in notes]
+    b_index = {b.records[-1].time: len(b.records) - 1}
+    b_index.update((k * tick_b, k) for k in range(len(b.records) - 1))
+    shared = 0
+    for row in a.records:
+        if row.time in b_index:
+            other = b.records[b_index[row.time]]
+            assert [row[i] for i in state] == [other[i] for i in state]
+            shared += 1
+    assert shared >= 1  # the start at least

@@ -113,7 +113,6 @@ class TestScheduleUpdate:
         assert timeline.pose_ready_at == pytest.approx(2.070)
         assert timeline.capture_pose_delay == pytest.approx(0.040)
         assert timeline.capture_loop_delay == pytest.approx(0.070)
-        assert timeline.confirm_gap == pytest.approx(0.020)
 
     def test_identities_exact(self):
         rng = np.random.default_rng(0)
@@ -129,7 +128,6 @@ class TestScheduleUpdate:
             tl = schedule_update(rng.uniform(0, 100), sample, frame)
             assert tl.capture_pose_delay == frame + sample.video + sample.pose
             assert tl.capture_loop_delay == sample.display + tl.capture_pose_delay
-            assert tl.confirm_gap == tl.capture_loop_delay - sample.display_confirm
             assert tl.pose_ready_at == tl.display_at + tl.capture_pose_delay
 
     def test_confirmation_before_display_rejected(self):
