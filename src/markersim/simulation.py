@@ -18,9 +18,9 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import is_
 from typing import NamedTuple
 
 import numpy as np
@@ -41,6 +41,10 @@ _PRIO_END = 9
 # A row this close to the end instant, relative to it, is the end row: the
 # product k * tick_step may miss the duration it names by an ulp or two.
 _END_RTOL = 1e-12
+
+# Trace rows sampled per numpy pass: long enough to amortize the per-pass
+# cost, short enough that a long trace's columns never sit in memory at once.
+_BLOCK = 256
 
 # Per-step turn (rad) below which vehicle_step uses the Taylor series of its coefficients.
 _SMALL_ANGLE = 1e-3
@@ -74,44 +78,93 @@ class VehicleState:
     time: float
 
 
+def _se3_exp(r, t, p, w, coefficients):
+    """The pose ``(r, t)`` moved by the twist increment ``(p, w) = (v·dt, ω·dt)``:
+    ``(r, t) · exp(ξ)``. With ``φ = w`` and ``θ = |φ|``, the rotation increment is
+    Rodrigues' ``I + a[φ] + b[φ]²`` and the translation increment is ``p`` times
+    the left Jacobian ``I + b[φ] + c[φ]²``, where ``coefficients(θ²)`` gives
+    ``a = sin θ/θ``, ``b = (1 - cos θ)/θ²`` and ``c = (θ - sin θ)/θ³``.
+
+    ``r`` is the nine rotation entries row by row, ``t``, ``p`` and ``w`` three
+    components each. Every product is written out and summed left to right, so
+    the same components give the same bits as Python floats and as numpy
+    columns. Returns ``θ²`` with the new rotation entries and translation."""
+    (r00, r01, r02, r10, r11, r12, r20, r21, r22), (tx, ty, tz) = r, t
+    (px, py, pz), (wx, wy, wz) = p, w
+    th2 = wx * wx + wy * wy + wz * wz
+    a, b, c = coefficients(th2)
+    qx, qy, qz = wy * pz - wz * py, wz * px - wx * pz, wx * py - wy * px  # φ × p
+    ux = px + b * qx + c * (wy * qz - wz * qy)
+    uy = py + b * qy + c * (wz * qx - wx * qz)
+    uz = pz + b * qz + c * (wx * qy - wy * qx)
+    t = (tx + (r00 * ux + r01 * uy + r02 * uz),
+         ty + (r10 * ux + r11 * uy + r12 * uz),
+         tz + (r20 * ux + r21 * uy + r22 * uz))
+    # r (I + a[φ] + b[φ]²), with [φ]² = φφᵀ - θ²I
+    bxy, bxz, byz, ax, ay, az = b * wx * wy, b * wx * wz, b * wy * wz, a * wx, a * wy, a * wz
+    m00, m01, m02 = -b * (wy * wy + wz * wz), bxy - az, bxz + ay
+    m10, m11, m12 = bxy + az, -b * (wx * wx + wz * wz), byz - ax
+    m20, m21, m22 = bxz - ay, byz + ax, -b * (wx * wx + wy * wy)
+    r = (r00 + (r00 * m00 + r01 * m10 + r02 * m20), r01 + (r00 * m01 + r01 * m11 + r02 * m21),
+         r02 + (r00 * m02 + r01 * m12 + r02 * m22), r10 + (r10 * m00 + r11 * m10 + r12 * m20),
+         r11 + (r10 * m01 + r11 * m11 + r12 * m21), r12 + (r10 * m02 + r11 * m12 + r12 * m22),
+         r20 + (r20 * m00 + r21 * m10 + r22 * m20), r21 + (r20 * m01 + r21 * m11 + r22 * m21),
+         r22 + (r20 * m02 + r21 * m12 + r22 * m22))
+    return th2, r, t
+
+
+def _taylor(th2):
+    """``a, b, c`` by their Taylor series through θ⁴; the rest is below 1e-21
+    for θ under ``_SMALL_ANGLE``."""
+    return (1.0 - th2 / 6.0 * (1.0 - th2 / 20.0),
+            0.5 - th2 / 24.0 * (1.0 - th2 / 30.0),
+            1.0 / 6.0 - th2 / 120.0 * (1.0 - th2 / 42.0))
+
+
+def _closed_form(th2, th, sin_th, sin_half):
+    a = sin_th / th
+    return a, 2.0 * (sin_half * sin_half) / th2, (1.0 - a) / th2
+
+
+def _coefficients(th2: float):
+    if th2 < _SMALL_ANGLE**2:
+        return _taylor(th2)
+    th = math.sqrt(th2)
+    return _closed_form(th2, th, math.sin(th), math.sin(0.5 * th))
+
+
+def _each(fn, *columns) -> np.ndarray:
+    """``fn`` of the ``math`` module applied element by element, so that a
+    column gives the bits the scalar path gets."""
+    return np.array(list(map(fn, *(c.tolist() for c in columns))), dtype=float)
+
+
+def _coefficient_columns(th2: np.ndarray):
+    # each form sees only the angles it is kept for, so neither can overflow or divide by 0
+    small = th2 < _SMALL_ANGLE**2
+    big = np.where(small, 1.0, th2)
+    th = np.sqrt(big)
+    closed = _closed_form(big, th, _each(math.sin, th), _each(math.sin, 0.5 * th))
+    taylor = _taylor(np.where(small, th2, 0.0))
+    return [np.where(small, near, far) for near, far in zip(taylor, closed)]
+
+
 def vehicle_step(state: VehicleState, cmd: VelocityCommand, dt: float) -> VehicleState:
     """Move the body for ``dt`` under the constant body-frame twist ``cmd``:
-    exactly ``pose · exp(dt·ξ)``. With ``φ = w·dt`` and ``θ = |φ|``, the
-    rotation increment is Rodrigues' ``I + sin θ/θ [φ] + (1 - cos θ)/θ² [φ]²``,
-    and the translation increment is ``v·dt`` times the left Jacobian
-    ``I + (1 - cos θ)/θ² [φ] + (θ - sin θ)/θ³ [φ]²``. Zero ``w`` keeps the rotation."""
+    exactly ``pose · exp(dt·ξ)`` (``_se3_exp``). Zero ``w`` keeps the rotation,
+    and a zero twist the pose."""
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if not cmd.is_finite:
         raise ValueError("velocity command has non-finite components")
-    px, py, pz = (cmd.linear * dt).tolist()
-    wx, wy, wz = (cmd.angular * dt).tolist()
-    if not (px or py or pz or wx or wy or wz):
-        return VehicleState(state.pose, state.time + dt)
-    th2 = wx * wx + wy * wy + wz * wz
-    if th2 < _SMALL_ANGLE**2:  # Taylor series through θ⁴; the rest is below 1e-21
-        a = 1.0 - th2 / 6.0 * (1.0 - th2 / 20.0)
-        b = 0.5 - th2 / 24.0 * (1.0 - th2 / 30.0)
-        c = 1.0 / 6.0 - th2 / 120.0 * (1.0 - th2 / 42.0)
-    else:
-        th = math.sqrt(th2)
-        a, b = math.sin(th) / th, 2.0 * math.sin(0.5 * th) ** 2 / th2
-        c = (1.0 - a) / th2
-    r = state.pose.rotation
-    qx, qy, qz = wy * pz - wz * py, wz * px - wx * pz, wx * py - wy * px  # φ × p
-    t = state.pose.translation + r @ np.array([
-        px + b * qx + c * (wy * qz - wz * qy),
-        py + b * qy + c * (wz * qx - wx * qz),
-        pz + b * qz + c * (wx * qy - wy * qx),
-    ])
-    if th2:  # r (I + a[φ] + b[φ]²), with [φ]² = φφᵀ - θ²I
-        bxy, bxz, byz, ax, ay, az = b * wx * wy, b * wx * wz, b * wy * wz, a * wx, a * wy, a * wz
-        r = r + r @ np.array([
-            [-b * (wy * wy + wz * wz), bxy - az, bxz + ay],
-            [bxy + az, -b * (wx * wx + wz * wz), byz - ax],
-            [bxz - ay, byz + ax, -b * (wx * wx + wy * wy)],
-        ])
-    pose = Pose._unchecked(r, check_translation(t), state.pose.from_frame, state.pose.to_frame)
+    pose = state.pose
+    p, w = (cmd.linear * dt).tolist(), (cmd.angular * dt).tolist()
+    if not any(p + w):
+        return VehicleState(pose, state.time + dt)
+    th2, r, t = _se3_exp(pose.rotation.ravel().tolist(), pose.translation.tolist(), p, w,
+                         _coefficients)
+    rotation = np.array(r).reshape(3, 3) if th2 else pose.rotation
+    pose = Pose._unchecked(rotation, check_translation(np.array(t)), pose.from_frame, pose.to_frame)
     return VehicleState(pose, state.time + dt)
 
 
@@ -153,19 +206,25 @@ class EventRecord(NamedTuple):
 
 
 class _Entry(NamedTuple):
-    """The engine after the handlers of one event; ``note`` holds a pose
-    result's row cells (detect_status to est_yaw), None for other events."""
+    """The engine after the handlers of one event. ``shown`` holds the
+    displayed config's row cells (id, family label, size, cell count), and
+    ``note`` a pose result's (detect_status to est_yaw), None for other events."""
 
     time: float
     state: VehicleState
     cmd: VelocityCommand
-    displayed: MarkerConfig
+    shown: tuple
     believed: int
     landing: bool
     note: tuple | None
 
 
 _NO_NOTE = ("", "", None, None, None, None)
+
+
+def _shown_cells(config: MarkerConfig) -> tuple:
+    label = "full_pose" if config.family.kind is FamilyKind.SHORT_RANGE_FULL_POSE else "long_range"
+    return config.config_id, label, config.marker_size, config.n_cells
 
 
 class TraceRows(Sequence):
@@ -176,6 +235,11 @@ class TraceRows(Sequence):
     shows the state before the events there, and its notes are the last in
     ``[t_{k-1}, t_k)``. A run that ends between rows adds an end row: the
     last entry, with the last notes since the previous row.
+
+    Iteration, slices and single rows all come from ``_rows``: it samples
+    ``_BLOCK`` rows per pass, evaluating ``vehicle_step``'s formula on numpy
+    columns (a lone row on floats, by ``vehicle_step`` itself), and yields the
+    rows one at a time.
     """
 
     def __init__(self, log: list[_Entry], tick_step: float):
@@ -186,46 +250,85 @@ class TraceRows(Sequence):
             last -= 1
         self._ticks = last + 1
         self._len = self._ticks + (last * tick_step < end * (1.0 - _END_RTOL))
+        self._stacked = None
 
     def __len__(self) -> int:
         return self._len
 
     def __getitem__(self, k):
         if isinstance(k, slice):
-            return list(self)[k]
-        return next(self._rows(range(self._len)[k]))
+            return list(self._rows(np.arange(self._len)[k]))
+        return next(self._rows(np.array([range(self._len)[k]])))
 
     def __iter__(self):
-        return self._rows(0)
+        return self._rows(np.arange(self._len))
 
-    def _rows(self, first: int):
-        """The rows from ``first`` on, in one walk over the log from the last
-        entry before the first row's notes begin."""
-        log, tick, last = self._log, self._tick, len(self._log) - 1
-        i = max(bisect_left(log, (first - 1) * tick, key=lambda entry: entry.time) - 1, 0)
-        for k in range(first, self._len):
-            end_row = k == self._ticks  # it takes every entry left
-            t = log[-1].time if end_row else k * tick
-            note = None
-            while i < last and (end_row or log[i + 1].time < t):
-                i += 1
-                note = log[i].note or note
-            yield _row(t, log[i], note)
+    def _stack(self):
+        """The entry times, and the times and cells of the notes after a
+        no-note sentinel at -inf, stacked on first use."""
+        if self._stacked is None:
+            log = self._log
+            noted = [e for e in log if e.note]
+            self._stacked = (
+                np.fromiter((e.time for e in log), float, len(log)),
+                np.array([-math.inf] + [e.time for e in noted]),
+                [_NO_NOTE] + [e.note for e in noted],
+            )
+        return self._stacked
+
+    def _rows(self, ks: np.ndarray):
+        """The rows ``ks``, sampled ``_BLOCK`` at a time. Rows come in runs that
+        share an entry and a note, and a run shares its cells past ``distance``."""
+        log, notes, key = self._log, self._stack()[2], None
+        for start in range(0, len(ks), _BLOCK):
+            for row, i, k in self._sample(ks[start:start + _BLOCK]):
+                if (i, k) != key:
+                    e = log[i]
+                    lin, ang = e.cmd.linear.tolist(), e.cmd.angular.tolist()
+                    key, rest = (i, k), (*notes[k], *e.shown, e.believed, *lin, ang[2],
+                                         int(e.landing))
+                yield TickRecord._make(row + rest)
+
+    def _sample(self, ks: np.ndarray):
+        """Rows ``ks`` in one pass: their six sampled floats (time to
+        distance), entry index and note index."""
+        log, tick = self._log, self._tick
+        times, note_times, _ = self._stack()
+        end_row = ks == self._ticks
+        t = np.where(end_row, times[-1], ks * tick)
+        # each row's entry: the last strictly before it, the last of all at the end row
+        j = np.where(end_row, len(log) - 1, np.maximum(times.searchsorted(t) - 1, 0))
+        dt = t - times[j]
+        if len(ks) == 1:  # the engine's float evaluation is cheaper than columns of one
+            e, d = log[j[0]], dt[0]
+            pose = vehicle_step(e.state, e.cmd, d).pose if d else e.state.pose
+            x, y, z = pose.translation[:, None]
+            yaw = np.array([_vehicle_yaw(pose)])
+        else:
+            x, y, z, yaw = _sampled_columns(log, j, dt)
+        distance = np.sqrt(x * x + y * y + z * z)
+        # each row's note: the last strictly before it, if at or after the previous row
+        n = np.where(end_row, len(note_times) - 1, note_times.searchsorted(t) - 1)
+        n = np.where(note_times[n] >= (ks - 1) * tick, n, 0)
+        floats = zip(t.tolist(), x.tolist(), y.tolist(), z.tolist(), yaw.tolist(), distance.tolist())
+        return zip(floats, j.tolist(), n.tolist())
 
 
-def _row(t: float, entry: _Entry, note: tuple | None) -> TickRecord:
-    state, shown, cmd = entry.state, entry.displayed, entry.cmd
-    pose = state.pose if t == entry.time else vehicle_step(state, cmd, t - entry.time).pose
-    p = pose.translation
-    return TickRecord(
-        t, float(p[0]), float(p[1]), float(p[2]), _vehicle_yaw(pose), vector_norm(p),
-        *(note or _NO_NOTE),
-        shown.config_id,
-        "full_pose" if shown.family.kind is FamilyKind.SHORT_RANGE_FULL_POSE else "long_range",
-        shown.marker_size, shown.n_cells, entry.believed,
-        float(cmd.linear[0]), float(cmd.linear[1]), float(cmd.linear[2]), float(cmd.angular[2]),
-        int(entry.landing),
-    )
+def _sampled_columns(log: list[_Entry], j: np.ndarray, dt: np.ndarray):
+    """x, y, z and yaw of ``log[j]`` moved for ``dt`` under its twist, as
+    ``vehicle_step`` moves it, evaluated on numpy columns."""
+    first = int(j.min())
+    motion = np.array([(*e.state.pose.rotation.ravel().tolist(), *e.state.pose.translation.tolist(),
+                        *e.cmd.linear.tolist(), *e.cmd.angular.tolist())
+                       for e in log[first:int(j.max()) + 1]]).T[:, j - first]
+    r, xyz = motion[:9], motion[9:12]
+    p, w = motion[12:15] * dt, motion[15:18] * dt
+    th2, r_new, xyz_new = _se3_exp(r, xyz, p, w, _coefficient_columns)
+    still = ~(p.any(axis=0) | w.any(axis=0))  # a zero twist keeps the pose
+    x, y, z = (np.where(still, old, new) for old, new in zip(xyz, xyz_new))
+    turned = th2 != 0  # and zero w the rotation
+    yaw = _each(math.atan2, np.where(turned, r_new[3], r[3]), np.where(turned, r_new[0], r[0]))
+    return x, y, z, yaw
 
 
 @dataclass
@@ -276,7 +379,7 @@ class _Engine:
         family = (config.full_pose_family if config.strategy == "static-full-pose"
                   else config.long_range_family)
         initial = bootstrap_config(family, config.screen, config.fill_factor)
-        self.displayed = initial
+        self.displayed, self.shown = initial, _shown_cells(initial)
         self.detector = DetectorParams(believed_config=initial, intrinsics=config.intrinsics)
         self.commanded = initial
 
@@ -340,7 +443,7 @@ class _Engine:
         return True
 
     def _log_entry(self, note: tuple | None = None):
-        self.log.append(_Entry(self.state.time, self.state, self.cmd, self.displayed,
+        self.log.append(_Entry(self.state.time, self.state, self.cmd, self.shown,
                                self.detector.believed_config.config_id, self.landing, note))
 
     # -- event handlers ----------------------------------------------------
@@ -413,7 +516,7 @@ class _Engine:
     def _on_update_event(self, now: float, kind: str, marker: MarkerConfig):
         self.events.append(EventRecord(now, kind, marker.config_id))
         if kind == "display":
-            self.displayed = marker
+            self.displayed, self.shown = marker, _shown_cells(marker)
         elif kind == "detector-update":
             self.detector = apply_update(self.detector, marker)
         elif kind == "update-complete":
@@ -518,10 +621,27 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
+class _Line:
+    """A ``csv.writer`` target whose ``writerow`` returns the formatted line."""
+
+    write = staticmethod(str)
+
+
 def trace_to_csv(trace: SimTrace, path):
     """Write the per-tick records; one row per record, columns as documented
-    in the README (SI units, radians)."""
-    _write_csv(path, TRACE_COLUMNS, trace.records)
+    in the README (SI units, radians). The bytes are ``csv.writer``'s: the six
+    sampled floats (time to distance) of a row are their ``repr``, as csv
+    writes a float, and the other cells are formatted by csv itself, once per
+    run of rows that hold the same cell objects, as a ``TraceRows`` run does."""
+    line = csv.writer(_Line).writerow
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(line(TRACE_COLUMNS))
+        last = cells = None
+        for row in trace.records:
+            rest = row[6:]
+            if last is None or not all(map(is_, rest, last)):  # objects, not values: 0.0 == -0.0
+                last, cells = rest, line(rest)
+            fh.write(f"{row[0]!r},{row[1]!r},{row[2]!r},{row[3]!r},{row[4]!r},{row[5]!r},{cells}")
 
 
 def events_to_csv(trace: SimTrace, path):

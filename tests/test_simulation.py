@@ -15,7 +15,7 @@ from scipy.linalg import expm
 from markersim import geometry, pbvs, perception, simulation, timing
 from markersim.domain import Domain, declared
 from markersim.geometry import CameraIntrinsics, Pose, _rotation_defect, fov_half_angle
-from markersim.marker import MarkerFamily, NoiseProfile
+from markersim.marker import MarkerConfig, MarkerFamily, NoiseProfile
 from markersim.marker_control import SwitchPolicy
 from markersim.pbvs import VelocityCommand
 from markersim.scenario import (
@@ -107,6 +107,15 @@ class TestVehicleStep:
             after = vehicle_step(state, cmd, dt).pose
             np.testing.assert_allclose(after.rotation, expected[:3, :3], rtol=0, atol=1e-12)
             np.testing.assert_allclose(after.translation, expected[:3, 3], rtol=0, atol=1e-12)
+
+    def test_coefficient_columns_are_the_float_coefficients(self):
+        # element by element, on both sides of _SMALL_ANGLE, and with no
+        # overflow warning from the discarded form at huge angles
+        th2 = np.array([0.0, 1e-300, 1e-8, (_SMALL_ANGLE * (1 - 1e-9))**2, _SMALL_ANGLE**2,
+                        0.01, 1.0, 10.0, 1e160, 1e300])
+        columns = simulation._coefficient_columns(th2)
+        for i, value in enumerate(th2.tolist()):
+            assert bits(*(column[i] for column in columns)) == bits(*simulation._coefficients(value))
 
     def test_no_angular_velocity_keeps_rotation_bits(self):
         state = VehicleState(camera_pose_in_marker(0.1, 0.2, 1.0, 0.3), 0.0)
@@ -683,3 +692,105 @@ def test_the_run_does_not_depend_on_the_tick(config, tick_a, tick_b):
             assert [row[i] for i in state] == [other[i] for i in state]
             shared += 1
     assert shared >= 1  # the start at least
+
+
+def bits(*values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+def check_rows_are_vehicle_steps(trace, tick_step) -> set:
+    """Assert that every row's pose is ``vehicle_step``'s from its entry, bit
+    for bit, and that single rows and slices are the rows of the whole pass;
+    return the kinds of motion the rows sampled."""
+    rows, log = list(trace.records), trace.records._log
+    times, kinds = [e.time for e in log], set()
+    for k, row in enumerate(rows):
+        if row.time == k * tick_step:  # a tick row: the last entry strictly before it
+            entry = log[max(bisect.bisect_left(times, row.time) - 1, 0)]
+        else:  # the end row
+            assert k == len(rows) - 1
+            entry = log[-1]
+        dt = row.time - entry.time
+        if dt == 0:
+            pose = entry.state.pose
+        else:
+            pose = vehicle_step(entry.state, entry.cmd, dt).pose
+            w = entry.cmd.angular * dt
+            if not (np.any(entry.cmd.linear * dt) or np.any(w)):
+                kinds.add("zero twist")
+            else:
+                kinds.add("small" if w.dot(w) < _SMALL_ANGLE**2 else "large")
+        x, y, z = pose.translation.tolist()
+        yaw = math.atan2(pose.rotation[1, 0], pose.rotation[0, 0])
+        assert bits(row.x, row.y, row.z, row.yaw) == bits(x, y, z, yaw)  # -0.0 and 0.0 apart
+        assert row.distance == math.sqrt(x * x + y * y + z * z)
+    n = len(rows)
+    for k in sorted({0, 1, n // 2, n - 2, n - 1, -1, -n} & set(range(-n, n))):
+        assert trace.records[k] == rows[k]
+    for part in (slice(None), slice(None, None, 7), slice(3, 11), slice(-4, None),
+                 slice(None, None, -5), slice(n, None)):
+        assert trace.records[part] == rows[part]
+    with pytest.raises(IndexError):
+        trace.records[n]
+    return kinds
+
+
+@given(st.one_of(valid_configs(), landing_configs()))
+@settings(max_examples=12, deadline=None, derandomize=True)
+def test_rows_are_vehicle_steps_from_their_entries(config):
+    check_rows_are_vehicle_steps(run_scenario(config), config.tick_step)
+
+
+def test_rows_cover_every_branch_of_the_step():
+    # A hover at a 1 ms tick samples a zero twist before the first command,
+    # and turns by less than _SMALL_ANGLE per row; the nominal landing's
+    # 10 ms rows turn by more. A zero twist keeps a -0.0 coordinate.
+    nominal = nominal_landing_scenario()
+    hover = replace(nominal, landing_error_threshold=None, duration=1.0, tick_step=0.001,
+                    initial_position=(-0.0, -0.0, 2.5))
+    kinds = set()
+    for config in (nominal, hover):
+        kinds |= check_rows_are_vehicle_steps(run_scenario(config), config.tick_step)
+    assert kinds == {"zero twist", "small", "large"}
+
+
+def test_the_log_holds_no_marker_config():
+    trace = run_scenario(nominal_landing_scenario())
+    assert trace.marker_update_count
+    assert not any(isinstance(field, MarkerConfig) for e in trace.records._log for field in e)
+    assert {e.shown for e in trace.records._log} == {
+        (r.displayed_config, r.displayed_family, r.displayed_size, r.displayed_cells)
+        for r in trace.records
+    }
+
+
+def hand_built_trace():
+    """A trace whose rows hold None, -0.0 next to 0.0, and strings csv must quote."""
+    first = simulation.TickRecord(
+        time=0.0, x=-0.0, y=0.0, z=2.5, yaw=-0.0, distance=2.5,
+        detect_status='no-detection:"odd"', validity="", est_x=None, est_y=None, est_z=None,
+        est_yaw=None, displayed_config=0, displayed_family="long,range",
+        displayed_size=0.15, displayed_cells=1, believed_config=0,
+        cmd_vx=-0.0, cmd_vy=0.0, cmd_vz=0.0, cmd_wz=-0.0, landing=0,
+    )
+    second = first._replace(time=0.5)  # the same cell objects as the first row
+    third = second._replace(time=1.0, cmd_vx=0.0)  # its cells equal the second's, yet print apart
+    fourth = third._replace(time=1.5, est_x=1e-300, landing=1)
+    return replace(TestMetrics().make_trace(), records=[first, second, third, fourth, fourth])
+
+
+@pytest.mark.parametrize("case", ["nominal", "hover", "hand-built"])
+def test_trace_csv_is_csv_writers_bytes(case, tmp_path):
+    nominal = nominal_landing_scenario()
+    trace = {
+        "nominal": lambda: run_scenario(nominal),
+        "hover": lambda: run_scenario(replace(nominal, landing_error_threshold=None,
+                                              duration=1.0, tick_step=0.001)),
+        "hand-built": hand_built_trace,
+    }[case]()
+    trace_to_csv(trace, tmp_path / "trace.csv")
+    with open(tmp_path / "reference.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_COLUMNS)
+        writer.writerows(trace.records)
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
