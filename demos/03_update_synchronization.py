@@ -15,7 +15,6 @@ import numpy as np
 from markersim.timing import (
     DelayModel,
     DelaySpec,
-    compute_safe_wait,
     evaluate_optimized_conditions,
     replay_update_frames,
     schedule_update,
@@ -41,7 +40,8 @@ print(f"  capture+pose delay effectively constant:    {conditions.capture_pose_c
 rng = np.random.default_rng(1)
 sample = model.sample(rng)
 timeline = schedule_update(0.0, sample, FRAME)
-safe_wait = compute_safe_wait(timeline.capture_loop_delay, sample.display_confirm)
+lo, hi = wait_window(timeline, "safe")
+safe_wait = hi - lo
 lo, hi = wait_window(timeline, "optimized")
 optimized_wait = hi - lo
 print(f"\none sampled update: safe wait {safe_wait * 1000:.0f} ms, "

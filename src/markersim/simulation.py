@@ -18,9 +18,12 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import is_
+from functools import cached_property
+from itertools import takewhile
+from operator import attrgetter, is_
 from typing import NamedTuple
 
 import numpy as np
@@ -222,6 +225,12 @@ class _Entry(NamedTuple):
 _NO_NOTE = ("", "", None, None, None, None)
 
 
+def _cells(e: _Entry, note: tuple) -> tuple:
+    """A row's cells past ``distance``: its note, then its entry's."""
+    lin, ang = e.cmd.linear.tolist(), e.cmd.angular.tolist()
+    return (*note, *e.shown, e.believed, *lin, ang[2], int(e.landing))
+
+
 def _shown_cells(config: MarkerConfig) -> tuple:
     label = "full_pose" if config.family.kind is FamilyKind.SHORT_RANGE_FULL_POSE else "long_range"
     return config.config_id, label, config.marker_size, config.n_cells
@@ -236,10 +245,9 @@ class TraceRows(Sequence):
     ``[t_{k-1}, t_k)``. A run that ends between rows adds an end row: the
     last entry, with the last notes since the previous row.
 
-    Iteration, slices and single rows all come from ``_rows``: it samples
-    ``_BLOCK`` rows per pass, evaluating ``vehicle_step``'s formula on numpy
-    columns (a lone row on floats, by ``vehicle_step`` itself), and yields the
-    rows one at a time.
+    Iteration and slices sample ``_BLOCK`` rows per pass of ``vehicle_step``'s
+    formula on numpy columns (``_rows``); a single row is sampled on floats,
+    by ``vehicle_step`` itself (``_row``).
     """
 
     def __init__(self, log: list[_Entry], tick_step: float):
@@ -250,7 +258,6 @@ class TraceRows(Sequence):
             last -= 1
         self._ticks = last + 1
         self._len = self._ticks + (last * tick_step < end * (1.0 - _END_RTOL))
-        self._stacked = None
 
     def __len__(self) -> int:
         return self._len
@@ -258,54 +265,57 @@ class TraceRows(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return list(self._rows(np.arange(self._len)[k]))
-        return next(self._rows(np.array([range(self._len)[k]])))
+        return self._row(range(self._len)[k])
 
     def __iter__(self):
         return self._rows(np.arange(self._len))
 
-    def _stack(self):
+    @cached_property
+    def _stacked(self):
         """The entry times, and the times and cells of the notes after a
         no-note sentinel at -inf, stacked on first use."""
-        if self._stacked is None:
-            log = self._log
-            noted = [e for e in log if e.note]
-            self._stacked = (
-                np.fromiter((e.time for e in log), float, len(log)),
+        log = self._log
+        noted = [e for e in log if e.note]
+        return (np.fromiter((e.time for e in log), float, len(log)),
                 np.array([-math.inf] + [e.time for e in noted]),
-                [_NO_NOTE] + [e.note for e in noted],
-            )
-        return self._stacked
+                [_NO_NOTE] + [e.note for e in noted])
 
     def _rows(self, ks: np.ndarray):
         """The rows ``ks``, sampled ``_BLOCK`` at a time. Rows come in runs that
         share an entry and a note, and a run shares its cells past ``distance``."""
-        log, notes, key = self._log, self._stack()[2], None
+        log, notes, key = self._log, self._stacked[2], None
         for start in range(0, len(ks), _BLOCK):
             for row, i, k in self._sample(ks[start:start + _BLOCK]):
                 if (i, k) != key:
-                    e = log[i]
-                    lin, ang = e.cmd.linear.tolist(), e.cmd.angular.tolist()
-                    key, rest = (i, k), (*notes[k], *e.shown, e.believed, *lin, ang[2],
-                                         int(e.landing))
+                    key, rest = (i, k), _cells(log[i], notes[k])
                 yield TickRecord._make(row + rest)
+
+    def _row(self, k: int) -> TickRecord:
+        """Row ``k`` alone, as ``_rows`` samples it, without numpy passes."""
+        log, tick = self._log, self._tick
+        # its entry: the last strictly before it, the last of all at the end row
+        end = k == self._ticks
+        t = log[-1].time if end else k * tick
+        i = len(log) - 1 if end else max(bisect_left(log, t, key=attrgetter("time")) - 1, 0)
+        e = log[i]
+        pose = vehicle_step(e.state, e.cmd, t - e.time).pose if t != e.time else e.state.pose
+        x, y, z = pose.translation.tolist()
+        # its note: the last at or before its entry, if at or after the previous row
+        since = takewhile(lambda j: log[j].time >= (k - 1) * tick, range(i, -1, -1))
+        note = next((log[j].note for j in since if log[j].note), _NO_NOTE)
+        return TickRecord(t, x, y, z, _vehicle_yaw(pose), math.sqrt(x * x + y * y + z * z),
+                          *_cells(e, note))
 
     def _sample(self, ks: np.ndarray):
         """Rows ``ks`` in one pass: their six sampled floats (time to
         distance), entry index and note index."""
         log, tick = self._log, self._tick
-        times, note_times, _ = self._stack()
+        times, note_times, _ = self._stacked
         end_row = ks == self._ticks
         t = np.where(end_row, times[-1], ks * tick)
         # each row's entry: the last strictly before it, the last of all at the end row
         j = np.where(end_row, len(log) - 1, np.maximum(times.searchsorted(t) - 1, 0))
-        dt = t - times[j]
-        if len(ks) == 1:  # the engine's float evaluation is cheaper than columns of one
-            e, d = log[j[0]], dt[0]
-            pose = vehicle_step(e.state, e.cmd, d).pose if d else e.state.pose
-            x, y, z = pose.translation[:, None]
-            yaw = np.array([_vehicle_yaw(pose)])
-        else:
-            x, y, z, yaw = _sampled_columns(log, j, dt)
+        x, y, z, yaw = _sampled_columns(log, j, t - times[j])
         distance = np.sqrt(x * x + y * y + z * z)
         # each row's note: the last strictly before it, if at or after the previous row
         n = np.where(end_row, len(note_times) - 1, note_times.searchsorted(t) - 1)
@@ -388,8 +398,6 @@ class _Engine:
 
         self.cmd = VelocityCommand.zero()
         self.landing = False
-        self.in_flight: MarkerConfig | None = None
-        self.pending: MarkerConfig | None = None
 
         self.log: list[_Entry] = []
         self.events: list[EventRecord] = []
@@ -495,11 +503,8 @@ class _Engine:
                 cfg.long_range_family, cfg.full_pose_family, size_variant=cfg.size_rule,
                 gap_fraction=cfg.gap_fraction, fill_factor=cfg.fill_factor,
             )
-            if proposal is not None:
-                if self.in_flight is not None:
-                    self.pending = proposal  # coalesce: only the latest survives
-                else:
-                    self._start_update(proposal, now)
+            if proposal is not None and self.protocol.propose(proposal):
+                self._start_update(proposal, now)
         return note
 
     def _start_update(self, marker: MarkerConfig, now: float):
@@ -508,7 +513,6 @@ class _Engine:
         if marker.family.kind is not self.commanded.family.kind:
             self.family_switches += 1
         self.commanded = marker
-        self.in_flight = marker
         self.updates += 1
         self.events.append(EventRecord(now, "command", marker.config_id))
         self.protocol.issue(timeline, marker, self._push)
@@ -519,11 +523,8 @@ class _Engine:
             self.displayed, self.shown = marker, _shown_cells(marker)
         elif kind == "detector-update":
             self.detector = apply_update(self.detector, marker)
-        elif kind == "update-complete":
-            self.in_flight = None
-            if self.pending is not None:
-                proposal, self.pending = self.pending, None
-                self._start_update(proposal, now)
+        elif kind == "update-complete" and (proposal := self.protocol.complete()) is not None:
+            self._start_update(proposal, now)
 
     # -- main loop ---------------------------------------------------------
 
@@ -614,13 +615,6 @@ def collect_metrics(trace: SimTrace) -> dict:
     }
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 class _Line:
     """A ``csv.writer`` target whose ``writerow`` returns the formatted line."""
 
@@ -646,4 +640,7 @@ def trace_to_csv(trace: SimTrace, path):
 
 def events_to_csv(trace: SimTrace, path):
     """Write the marker-update protocol event log."""
-    _write_csv(path, ("time", "event", "config_id"), trace.events)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("time", "event", "config_id"))
+        writer.writerows(trace.events)

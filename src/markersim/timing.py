@@ -18,23 +18,22 @@ Two schemes are provided. The safe scheme updates the detector immediately
 and distrusts every capture until max(capture_loop_delay, confirm_delay) has
 passed, wasting several frames per update. The optimized scheme, applicable
 when the display confirmation is the only meaningfully jittery delay, defers
-the detector update until just before ``pose_ready_at`` and distrusts the
-captures from the display instant until the last one whose pose still comes
-out before that switch: exactly the new-marker frames computed with old
-parameters. Old-marker frames keep producing valid poses, and when the switch
-is not held back by a late confirmation only one frame per update is lost, at
-any frame phase.
+the detector update until just before ``pose_ready_at`` and distrusts exactly
+the new-marker frames computed with old parameters: when the switch is not
+held back by a late confirmation, one frame per update, at any frame phase.
 
-``UpdateProtocol`` holds the event order at equal timestamps, the events
-each update queues and the lookup of the window a capture falls in; the
-engine in ``markersim.simulation`` and ``replay_update_frames`` both drive it.
+``UpdateProtocol`` holds the event order at equal timestamps, the order of
+updates and every update's window; the engine in ``markersim.simulation``
+and ``replay_update_frames`` both drive it.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Annotated
 
 import numpy as np
@@ -63,14 +62,6 @@ class DelaySpec:
         return cls(low, high)
 
     @property
-    def is_constant(self) -> bool:
-        return self.high is None or self.high == self.low
-
-    @property
-    def minimum(self) -> float:
-        return self.low
-
-    @property
     def maximum(self) -> float:
         return self.low if self.high is None else self.high
 
@@ -80,7 +71,7 @@ class DelaySpec:
 
     @property
     def variance(self) -> float:
-        if self.is_constant:
+        if self.high is None:
             return 0.0
         return (self.high - self.low) ** 2 / 12.0
 
@@ -128,7 +119,7 @@ class DelaySample:
 
     def __post_init__(self):
         for name in ("detector_update", "display", "display_confirm", "video", "pose"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:  # NaN too
                 raise ValueError(f"{name} delay must be >= 0, got {getattr(self, name)}")
         if self.display_confirm < self.display:
             raise ValueError(
@@ -139,7 +130,8 @@ class DelaySample:
 
 @dataclass(frozen=True)
 class UpdateTimeline:
-    """Event instants for one marker update, plus the derived loop delays."""
+    """Event instants for one marker update, plus the derived loop delays.
+    ``schedule_update`` orders them, as ``DelaySample`` holds no negative delay."""
 
     issued_at: float
     detector_confirm_at: float
@@ -150,14 +142,6 @@ class UpdateTimeline:
     capture_loop_delay: float
     sample: DelaySample
     frame_period: float
-
-    def __post_init__(self):
-        if not (self.issued_at <= self.detector_confirm_at):
-            raise ValueError("detector confirmation cannot precede the command")
-        if not (self.issued_at <= self.display_at <= self.confirm_at):
-            raise ValueError("display/confirmation instants are out of order")
-        if not (self.display_at <= self.pose_ready_at):
-            raise ValueError("pose-ready instant cannot precede the display")
 
 
 @dataclass(frozen=True)
@@ -170,15 +154,6 @@ class ValidityStamp:
     def __post_init__(self):
         if self.valid and self.reason != "ok":
             raise ValueError(f"a valid stamp must have reason 'ok', got '{self.reason}'")
-
-
-def compute_safe_wait(capture_loop_delay: float, display_confirm_delay: float) -> float:
-    """Conservative wait before trusting poses again: max of the two paths."""
-    if capture_loop_delay < 0 or display_confirm_delay < 0:
-        raise ValueError(
-            f"delays must be >= 0, got {capture_loop_delay} and {display_confirm_delay}"
-        )
-    return max(capture_loop_delay, display_confirm_delay)
 
 
 @dataclass(frozen=True)
@@ -204,9 +179,7 @@ class OptimizedConditions:
 def evaluate_optimized_conditions(model: DelayModel, frame_period: float) -> OptimizedConditions:
     """Check the reduced-wait preconditions against delay distributions and
     the camera's frame period."""
-    capture_loop_min = (
-        model.display.minimum + frame_period + model.video.minimum + model.pose.minimum
-    )
+    capture_loop_min = model.display.low + frame_period + model.video.low + model.pose.low
     confirm_below_loop = model.display_confirm.maximum < capture_loop_min
     update_is_small = model.detector_update.maximum <= 0.25 * frame_period
     cp_mean = frame_period + model.video.mean + model.pose.mean
@@ -252,7 +225,8 @@ def detector_switch_time(timeline: UpdateTimeline, scheme: str) -> float:
 def wait_window(timeline: UpdateTimeline, scheme: str) -> tuple[float, float]:
     """Half-open capture-time interval whose estimates are distrusted.
 
-    Safe: every capture from the command until the safe wait has elapsed.
+    Safe: every capture from the command until the capture loop and the
+    display confirmation have both elapsed.
     Optimized: every capture from the display instant (the first that can
     show the new marker) until the deferred switch, translated from
     pose-ready time to capture time by the transport and computation delay:
@@ -264,7 +238,7 @@ def wait_window(timeline: UpdateTimeline, scheme: str) -> tuple[float, float]:
     rejects it.
     """
     if scheme == "safe":
-        wait = compute_safe_wait(timeline.capture_loop_delay, timeline.sample.display_confirm)
+        wait = max(timeline.capture_loop_delay, timeline.sample.display_confirm)
         return (timeline.issued_at, timeline.issued_at + wait)
     if scheme == "optimized":
         transport = timeline.sample.video + timeline.sample.pose
@@ -319,17 +293,45 @@ PRIO_UPDATE_COMPLETE = 5
 class UpdateProtocol:
     """The update protocol under one scheme. The driver owns the event queue,
     grabs frames at ``PRIO_GRAB``, delivers poses at ``PRIO_POSE_READY`` and
-    acts on each protocol event as it pops."""
+    acts on each protocol event as it pops.
+
+    Updates run one at a time: a proposal made while one is in flight waits,
+    and only the latest waiting one survives. ``window_of`` bisects over the
+    starts of every update's wait window. That is exact for any number of
+    updates, as the windows are disjoint and in time order, in floats too: an
+    update is issued no earlier than the previous one's
+    ``update_complete_time``, which is at or after that one's window end (a
+    ``max`` over it under the safe scheme; the optimized window ends at
+    ``switch - transport``, the completion at the switch), and a window opens
+    no earlier than its update is issued (at ``issued_at`` or ``display_at``).
+    """
 
     def __init__(self, scheme: str):
         self.scheme = scheme
-        self.timelines = []  # recent update timelines, newest last
+        self._windows = []  # (start, end, timeline) of every issued update, in time order
+        self._in_flight = False
+        self._waiting = None
+
+    def propose(self, payload) -> bool:
+        """Whether ``payload`` may be issued now; if not, it waits instead of
+        any proposal that waited before it."""
+        if not self._in_flight:
+            return True
+        self._waiting = payload
+        return False
+
+    def complete(self):
+        """End the update in flight; return the waiting proposal, or None."""
+        payload, self._waiting, self._in_flight = self._waiting, None, False
+        return payload
 
     def issue(self, timeline: UpdateTimeline, payload, push):
-        """Queue the update's four events via ``push(time, prio, kind, payload)``."""
-        self.timelines.append(timeline)
-        if len(self.timelines) > 8:
-            self.timelines.pop(0)
+        """Start an update: keep its window and queue its four events via
+        ``push(time, prio, kind, payload)``."""
+        if self._in_flight:
+            raise RuntimeError("an update is already in flight")
+        self._in_flight = True
+        self._windows.append((*wait_window(timeline, self.scheme), timeline))
         push(timeline.display_at, PRIO_DISPLAY, "display", payload)
         push(timeline.confirm_at, PRIO_CONFIRM, "confirmation", payload)
         push(detector_switch_time(timeline, self.scheme), PRIO_DETECTOR_UPDATE, "detector-update",
@@ -338,12 +340,11 @@ class UpdateProtocol:
              payload)
 
     def window_of(self, capture_time: float) -> UpdateTimeline | None:
-        """The update whose wait window holds ``capture_time``: the newest
-        whose window has opened by then, if that window has not closed."""
-        for timeline in reversed(self.timelines):
-            lo, hi = wait_window(timeline, self.scheme)
-            if capture_time >= lo:
-                return timeline if capture_time < hi else None
+        """The update whose wait window holds ``capture_time``: the last to
+        open by then, if its window has not closed."""
+        i = bisect_right(self._windows, capture_time, key=itemgetter(0)) - 1
+        if i >= 0 and capture_time < self._windows[i][1]:
+            return self._windows[i][2]
         return None
 
     def stamp(self, capture_time: float, displayed_id: int, computed_against: int) -> ValidityStamp:

@@ -600,7 +600,25 @@ def valid_configs(draw):
 
 
 def run_csv(config) -> tuple[str, bytes, bytes]:
-    trace = run_scenario(config)
+    """Run ``config`` and return its status and csv bytes, once its update
+    windows are checked: disjoint and in time order, and each stamp agrees
+    with a search over all of them."""
+    timelines = []
+
+    def schedule(*args):
+        timelines.append(timing.schedule_update(*args))
+        return timelines[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "schedule_update", schedule)
+        trace = run_scenario(config)
+    windows = [timing.wait_window(tl, trace.scheme_effective) for tl in timelines]
+    edges = [edge for window in windows for edge in window]
+    assert edges == sorted(edges)
+    for capture, shown, computed, reason in trace.stamps:
+        inside = any(lo <= capture < hi for lo, hi in windows)
+        assert reason == ("config_mismatch" if shown != computed
+                          else "within_wait_window" if inside else "ok")
     with tempfile.TemporaryDirectory() as tmp:
         trace_path, events_path = Path(tmp) / "trace.csv", Path(tmp) / "events.csv"
         trace_to_csv(trace, trace_path)
@@ -626,6 +644,7 @@ def landing_configs(draw):
 @given(st.one_of(valid_configs(), landing_configs()))
 @settings(max_examples=100, deadline=None, derandomize=True)
 def test_every_valid_config_runs_to_an_end_and_repeats(config):
+    # run_csv also checks each run's update windows and every stamp against them
     status, trace, events = run_csv(config)
     assert status in ("landed", "timeout", "diverged")
     assert run_csv(config) == (status, trace, events)

@@ -6,7 +6,7 @@ from markersim.timing import (
     DelaySample,
     DelaySpec,
     OptimizedConditions,
-    compute_safe_wait,
+    UpdateProtocol,
     detector_switch_time,
     evaluate_optimized_conditions,
     replay_update_frames,
@@ -40,25 +40,16 @@ def nominal_model(confirm=DelaySpec.uniform(0.035, 0.060)):
 
 
 class TestSafeWait:
-    def test_max_of_the_two(self):
-        assert compute_safe_wait(0.050, 0.080) == 0.080
+    """The safe window runs from the command until the longer of the capture
+    loop and the display confirmation has elapsed (dyadic delays, so every
+    sum is exact: the capture loop is 0.25 + (0.5 + 0.125 + 0.125) = 1.0)."""
 
-    def test_equal_case(self):
-        assert compute_safe_wait(0.070, 0.070) == 0.070
-
-    def test_from_scheduled_timeline(self):
-        # display 0.030 + (frame 0.033 + video 0.005 + pose 0.002) = 0.070,
-        # confirmation 0.050 -> wait 0.070
-        sample = DelaySample(0.005, 0.030, 0.050, 0.005, 0.002)
-        timeline = schedule_update(0.0, sample, 0.033)
-        assert timeline.capture_loop_delay == pytest.approx(0.070, abs=1e-12)
-        assert compute_safe_wait(
-            timeline.capture_loop_delay, sample.display_confirm
-        ) == pytest.approx(0.070, abs=1e-12)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            compute_safe_wait(-0.01, 0.05)
+    @pytest.mark.parametrize("confirm, end", [(0.5, 3.0), (1.5, 3.5), (1.0, 3.0)],
+                             ids=["capture-loop-longer", "confirmation-longer", "tie"])
+    def test_window(self, confirm, end):
+        timeline = schedule_update(2.0, DelaySample(0.0, 0.25, confirm, 0.125, 0.125), 0.5)
+        assert timeline.capture_loop_delay == 1.0
+        assert wait_window(timeline, "safe") == (2.0, end)
 
 
 class TestOptimizedWait:
@@ -129,6 +120,18 @@ class TestScheduleUpdate:
             assert tl.capture_pose_delay == frame + sample.video + sample.pose
             assert tl.capture_loop_delay == sample.display + tl.capture_pose_delay
             assert tl.pose_ready_at == tl.display_at + tl.capture_pose_delay
+            assert tl.issued_at <= tl.detector_confirm_at
+            assert tl.issued_at <= tl.display_at <= tl.confirm_at
+            assert tl.display_at <= tl.pose_ready_at
+
+    @pytest.mark.parametrize("name", ["detector_update", "display", "display_confirm", "video",
+                                      "pose"])
+    @pytest.mark.parametrize("value", [-0.001, float("nan")])
+    def test_negative_delay_rejected(self, name, value):
+        delays = dict(detector_update=0.005, display=0.030, display_confirm=0.050, video=0.005,
+                      pose=0.002)
+        with pytest.raises(ValueError, match=f"{name} delay must be >= 0"):
+            DelaySample(**{**delays, name: value})
 
     def test_confirmation_before_display_rejected(self):
         with pytest.raises(ValueError):
@@ -228,6 +231,49 @@ class TestOptimizedScheme:
             timeline, "optimized"
         )
         assert update_complete_time(timeline, "safe") >= timeline.confirm_at
+
+
+def ignore_events(*event):
+    pass
+
+
+class TestUpdateProtocol:
+    def test_a_proposal_waits_for_the_update_in_flight(self):
+        protocol, issued = UpdateProtocol("safe"), []
+
+        def issue(payload, at):
+            protocol.issue(schedule_update(at, nominal_sample(), FRAME), payload, ignore_events)
+            issued.append(payload)
+
+        assert protocol.propose("a")
+        issue("a", 0.0)
+        assert not protocol.propose("b")
+        assert not protocol.propose("c")  # replaces "b"
+        with pytest.raises(RuntimeError):
+            issue("c", 0.01)
+        assert protocol.complete() == "c"
+        issue("c", 0.1)
+        assert protocol.complete() is None  # "c" is not handed over twice
+        assert protocol.propose("d")
+        issue("d", 0.2)
+        assert issued == ["a", "c", "d"]
+
+    @pytest.mark.parametrize("scheme", ["safe", "optimized"])
+    def test_every_window_is_kept(self, scheme):
+        # ten back-to-back updates, each issued at the previous one's completion
+        protocol, timelines, issued = UpdateProtocol(scheme), [], 0.0
+        for payload in range(10):
+            timelines.append(schedule_update(issued, nominal_sample(), FRAME))
+            assert protocol.propose(payload)
+            protocol.issue(timelines[-1], payload, ignore_events)
+            assert protocol.complete() is None
+            issued = update_complete_time(timelines[-1], scheme)
+        for timeline in timelines:
+            lo, hi = wait_window(timeline, scheme)
+            capture = (lo + hi) / 2
+            assert protocol.window_of(capture) is timeline
+            assert protocol.stamp(capture, 1, 1).reason == "within_wait_window"
+            assert protocol.window_of(hi) is not timeline  # half-open
 
 
 def random_physical_sample(rng):
