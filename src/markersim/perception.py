@@ -103,6 +103,49 @@ def _project_board(true_pose: Pose, corners: np.ndarray, k: CameraIntrinsics):
     return ~outside.any(axis=1), edges.max(axis=1)
 
 
+def _usable_cells(true_pose: Pose, displayed: MarkerConfig, k: CameraIntrinsics,
+                  min_footprint: float):
+    """Count the displayed board's usable cells: all four corners in front of
+    the camera and inside the image, and a footprint of at least
+    ``min_footprint`` pixels. With none usable, return the NoDetection that
+    says why: too-small when every cell in front of the camera is too small,
+    out-of-view otherwise.
+
+    A plain marker (one cell) is gated on Python floats, which saves numpy's
+    fixed cost per call on four corners. Only the product stays in numpy, the
+    same ``rotation @ corners`` as ``_project_board``'s: written-out sums
+    round differently. Every later step is a correctly rounded elementwise
+    operation, so the gate has ``_project_board``'s bits. Edges that overflow
+    or are NaN go to ``_project_board``, whose hypot fallback is the one
+    overflow rule.
+    """
+    corners = displayed._corners
+    if displayed.n_cells == 1:
+        x, y, z = (true_pose.rotation @ corners + true_pose.translation[:, None]).tolist()
+        if z[0] <= 0.0 or z[1] <= 0.0 or z[2] <= 0.0 or z[3] <= 0.0:
+            return NoDetection("out-of-view")
+        u = [k.fx * xi / zi + k.cx for xi, zi in zip(x, z)]
+        v = [k.fy * yi / zi + k.cy for yi, zi in zip(y, z)]
+        # Each corner against its neighbour along the outline (_NEXT_CORNER).
+        edges = [math.sqrt((u0 - u1) * (u0 - u1) + (v0 - v1) * (v0 - v1))
+                 for u0, u1, v0, v1 in zip(u, u[1:] + u[:1], v, v[1:] + v[:1])]
+        if all(map(math.isfinite, edges)):
+            if max(edges) < min_footprint:
+                return NoDetection("too-small")
+            # numpy compares with the float of an integer size, so do the same.
+            width, height = float(k.width), float(k.height)
+            if all(0.0 <= ui <= width for ui in u) and all(0.0 <= vi <= height for vi in v):
+                return 1
+            return NoDetection("out-of-view")
+    visible, footprints = _project_board(true_pose, corners, k)
+    usable = int(np.count_nonzero(visible & (footprints >= min_footprint)))
+    if usable == 0:
+        if footprints.size and (footprints < min_footprint).all():
+            return NoDetection("too-small")
+        return NoDetection("out-of-view")
+    return usable
+
+
 def simulate_detection(
     true_pose: Pose,
     displayed: MarkerConfig,
@@ -128,12 +171,9 @@ def simulate_detection(
     if distance > family.max_detection_range:
         return NoDetection("out-of-range")
 
-    visible, footprints = _project_board(true_pose, displayed._corners, detector.intrinsics)
-    usable = int(np.count_nonzero(visible & (footprints >= family.min_pixel_footprint)))
-    if usable == 0:
-        if footprints.size and (footprints < family.min_pixel_footprint).all():
-            return NoDetection("too-small")
-        return NoDetection("out-of-view")
+    usable = _usable_cells(true_pose, displayed, detector.intrinsics, family.min_pixel_footprint)
+    if isinstance(usable, NoDetection):
+        return usable
 
     believed = detector.believed_config
     if believed.family.kind is not family.kind:
@@ -143,12 +183,11 @@ def simulate_detection(
     sigma = family.position_noise.sigma_at(distance) / math.sqrt(usable)
     t_est = check_translation(t_true * scale + rng.normal(size=3) * sigma)
 
-    yaw_true = relative_yaw(true_pose.rotation)
     if family.yields_yaw:
         yaw_sigma = family.yaw_noise.sigma_at(distance) if family.yaw_noise else 0.0
         delta = float(rng.normal()) * yaw_sigma
         r_est = true_pose.rotation @ rot_z(-delta)
-        yaw_est = yaw_true + delta
+        yaw_est = relative_yaw(true_pose.rotation) + delta
     else:
         r_est = strip_yaw(true_pose.rotation)
         yaw_est = None

@@ -28,6 +28,7 @@ from markersim.perception import (
     NoDetection,
     PoseEstimate,
     _project_board,
+    _usable_cells,
     relative_yaw,
     simulate_detection,
     strip_yaw,
@@ -417,3 +418,60 @@ class TestBoardProjectionMatchesScalarReference:
                 pixel_footprint(pose, size, K)
         else:
             assert pixel_footprint(pose, size, K) == expected
+
+
+def assert_plain_gate_is_the_board_gate(pose, size, k):
+    """The one-cell float gate of a plain marker agrees with _project_board:
+    the same empty result when a corner is at or behind the camera, the same
+    visible flag, and the same footprint to the bit, pinned by floors at the
+    board footprint and at the next float above it."""
+    cfg = single(FULL, size)
+    visible, footprints = _project_board(pose, cfg._corners, k)
+    if not footprints.size:
+        for floor in (1.0, math.inf):
+            assert _usable_cells(pose, cfg, k, floor) == NoDetection("out-of-view")
+        return
+    footprint = float(footprints[0])
+    for floor in (footprint, math.nextafter(footprint, math.inf)):
+        if footprint < floor:
+            expected = NoDetection("too-small")
+        else:
+            expected = 1 if visible[0] else NoDetection("out-of-view")
+        assert _usable_cells(pose, cfg, k, floor) == expected
+
+
+class TestPlainMarkerGateMatchesBoardProjection:
+    @given(pose=camera_poses(), size=st.floats(0.005, 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_same_bits_as_the_board_projection(self, pose, size):
+        assert_plain_gate_is_the_board_gate(pose, size, K)
+
+    def test_cell_partly_out_of_frame(self):
+        # The cell's left edge projects to u = 445 px, inside the 640 px
+        # image, and its right edge to u = 695 px, outside it.
+        pose = Pose(rot_x(math.pi), [0.5, 0.0, 1.0], "marker", "camera")
+        visible, footprints = _project_board(pose, single(FULL, 0.5)._corners, K)
+        assert not visible[0] and footprints[0] == pytest.approx(250.0)
+        assert_plain_gate_is_the_board_gate(pose, 0.5, K)
+
+    @pytest.mark.parametrize("width, inside", [(445, True), (444, False)])
+    def test_corner_on_the_image_border(self, width, inside):
+        # Overhead at 1 m, the 0.5 m cell's right corners land on u = 445 px.
+        k = replace(K, width=width)
+        visible, _ = _project_board(overhead_pose(1.0), single(FULL, 0.5)._corners, k)
+        assert visible[0] == inside
+        assert_plain_gate_is_the_board_gate(overhead_pose(1.0), 0.5, k)
+
+    def test_image_width_compares_as_a_float(self):
+        # The right corners land on u = 2**53 + 16, the float nearest to the
+        # width 2**53 + 15, so they are inside although the integer is smaller.
+        k = replace(K, fx=2.0**50, fy=2.0**50, cx=2.0**53, width=2**53 + 15)
+        visible, _ = _project_board(overhead_pose(1.0), single(FULL, 2.0**-45)._corners, k)
+        assert visible[0]
+        assert_plain_gate_is_the_board_gate(overhead_pose(1.0), 2.0**-45, k)
+
+    def test_overflowing_edges_take_the_board_path(self):
+        k = replace(K, fx=1.74e307, fy=1.74e307)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_plain_gate_is_the_board_gate(overhead_pose(1.5), 0.15, k)
