@@ -393,8 +393,8 @@ class _Engine:
         self.detector = DetectorParams(believed_config=initial, intrinsics=config.intrinsics)
         self.commanded = initial
 
-        conditions = evaluate_optimized_conditions(config.delays, config.intrinsics.frame_period)
-        self.protocol = UpdateProtocol(config.timing_scheme if conditions.all_hold else "safe")
+        self.protocol = UpdateProtocol(
+            config.timing_scheme if evaluate_optimized_conditions(config.delays) else "safe")
 
         self.cmd = VelocityCommand.zero()
         self.landing = False

@@ -16,11 +16,14 @@ and pose estimates are stamped valid or stale against a suppression window.
 
 Two schemes are provided. The safe scheme updates the detector immediately
 and distrusts every capture until max(capture_loop_delay, confirm_delay) has
-passed, wasting several frames per update. The optimized scheme, applicable
-when the display confirmation is the only meaningfully jittery delay, defers
-the detector update until just before ``pose_ready_at`` and distrusts exactly
-the new-marker frames computed with old parameters: when the switch is not
-held back by a late confirmation, one frame per update, at any frame phase.
+passed, wasting several frames per update. The optimized scheme defers the
+detector update until just before ``pose_ready_at`` and distrusts exactly the
+new-marker frames computed with old parameters: when the switch is not held
+back by a late confirmation, one frame per update, at any frame phase. It
+applies exactly when the transport from capture to pose (``video`` plus
+``pose``) is constant; the other delays may jitter freely. Under transport
+jitter the engine runs the safe scheme instead, and ``summary.json`` reports
+``timing_scheme`` as ``safe``.
 
 ``UpdateProtocol`` holds the event order at equal timestamps, the order of
 updates and every update's window; the engine in ``markersim.simulation``
@@ -60,20 +63,6 @@ class DelaySpec:
     @classmethod
     def uniform(cls, low: float, high: float) -> "DelaySpec":
         return cls(low, high)
-
-    @property
-    def maximum(self) -> float:
-        return self.low if self.high is None else self.high
-
-    @property
-    def mean(self) -> float:
-        return self.low if self.high is None else (self.low + self.high) / 2.0
-
-    @property
-    def variance(self) -> float:
-        if self.high is None:
-            return 0.0
-        return (self.high - self.low) ** 2 / 12.0
 
     def sample(self, rng: np.random.Generator) -> float:
         if self.high is None:
@@ -156,36 +145,22 @@ class ValidityStamp:
             raise ValueError(f"a valid stamp must have reason 'ok', got '{self.reason}'")
 
 
-@dataclass(frozen=True)
-class OptimizedConditions:
-    """Applicability gates for the reduced wait.
+def evaluate_optimized_conditions(model: DelayModel) -> bool:
+    """Whether the optimized scheme is exact under ``model``: the video and
+    pose delays, the transport from capture to pose, are both constant.
 
-    confirm_below_loop: the display confirmation always beats the capture
-    loop. update_is_small: the detector update fits well inside a frame
-    period (<= 1/4). capture_pose_constant: capture-to-pose time has
-    coefficient of variation <= 5%. The thresholds operationalize
-    qualitative requirements; the protocol only uses the booleans.
+    With a constant transport ``tau``, a new-marker capture ``c`` gets its
+    pose from the old parameters exactly when ``c < switch - tau``, so the
+    window ``[display_at, switch - tau)`` holds every such frame, at any frame
+    phase and under any jitter of the other delays. An old-marker capture
+    comes out before ``display_at + tau``, ahead of the switch, which is no
+    earlier than ``pose_ready_at = display_at + frame_period + tau``. If the
+    transport jitters, a frame can draw a shorter one than the update's
+    sample; at some phase it is grabbed in ``[switch - tau_update,
+    switch - tau_frame)``, after the window, with its pose from the old
+    parameters.
     """
-
-    confirm_below_loop: bool
-    update_is_small: bool
-    capture_pose_constant: bool
-
-    @property
-    def all_hold(self) -> bool:
-        return self.confirm_below_loop and self.update_is_small and self.capture_pose_constant
-
-
-def evaluate_optimized_conditions(model: DelayModel, frame_period: float) -> OptimizedConditions:
-    """Check the reduced-wait preconditions against delay distributions and
-    the camera's frame period."""
-    capture_loop_min = model.display.low + frame_period + model.video.low + model.pose.low
-    confirm_below_loop = model.display_confirm.maximum < capture_loop_min
-    update_is_small = model.detector_update.maximum <= 0.25 * frame_period
-    cp_mean = frame_period + model.video.mean + model.pose.mean
-    cp_std = (model.video.variance + model.pose.variance) ** 0.5
-    capture_pose_constant = cp_std <= 0.05 * cp_mean
-    return OptimizedConditions(confirm_below_loop, update_is_small, capture_pose_constant)
+    return all(spec.high is None or spec.high == spec.low for spec in (model.video, model.pose))
 
 
 def schedule_update(issued_at: float, sample: DelaySample, frame_period: float) -> UpdateTimeline:
@@ -246,34 +221,27 @@ def wait_window(timeline: UpdateTimeline, scheme: str) -> tuple[float, float]:
     raise ValueError(f"unknown timing scheme '{scheme}'")
 
 
-def stamp_validity(
-    estimate_capture_time: float,
-    frame_config_id: int,
-    detector_config_id: int,
-    active_timeline: UpdateTimeline | None = None,
-    scheme: str = "safe",
-) -> ValidityStamp:
+def stamp_validity(frame_config_id: int, detector_config_id: int,
+                   in_window: bool) -> ValidityStamp:
     """Stamp one estimate.
 
     A disagreement between the configuration displayed at capture and the one
     the pose was computed against is always a mismatch. Otherwise the capture
-    is distrusted while it falls inside the scheme's wait window of the given
-    update timeline; with no update in flight everything is ok.
+    is distrusted when it falls inside an update's wait window.
     """
     if frame_config_id != detector_config_id:
         return ValidityStamp(False, "config_mismatch")
-    if active_timeline is not None:
-        lo, hi = wait_window(active_timeline, scheme)
-        if lo <= estimate_capture_time < hi:
-            return ValidityStamp(False, "within_wait_window")
+    if in_window:
+        return ValidityStamp(False, "within_wait_window")
     return ValidityStamp(True, "ok")
 
 
 def update_complete_time(timeline: UpdateTimeline, scheme: str) -> float:
     """Instant after which the next queued marker update may start."""
     if scheme == "safe":
-        _, window_end = wait_window(timeline, scheme)
-        return max(window_end, timeline.confirm_at, timeline.detector_confirm_at)
+        # the window end, issued_at + max(capture_loop, display_confirm), is at
+        # or after confirm_at = issued_at + display_confirm, in floats too
+        return max(wait_window(timeline, scheme)[1], timeline.detector_confirm_at)
     if scheme == "optimized":
         return detector_switch_time(timeline, scheme)
     raise ValueError(f"unknown timing scheme '{scheme}'")
@@ -348,9 +316,10 @@ class UpdateProtocol:
         return None
 
     def stamp(self, capture_time: float, displayed_id: int, computed_against: int) -> ValidityStamp:
-        """Stamp an estimate against the update whose window holds its capture."""
-        return stamp_validity(capture_time, displayed_id, computed_against,
-                              self.window_of(capture_time), self.scheme)
+        """Stamp an estimate: ``window_of`` alone decides whether its capture
+        falls in a wait window."""
+        return stamp_validity(displayed_id, computed_against,
+                              self.window_of(capture_time) is not None)
 
 
 @dataclass(frozen=True)

@@ -202,7 +202,7 @@ def _other_value(value):
         return [0.9 * v for v in value]
     if value is None:
         return 0.5
-    return 0.9 * value.mean  # a DelaySpec, as a constant delay
+    return 0.9 * value.low  # a DelaySpec, as a constant delay
 
 
 class TestSchema:

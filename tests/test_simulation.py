@@ -442,18 +442,57 @@ def test_window_dropouts_complete_the_update_loss():
 
 
 class TestSchemeFallback:
+    def run_with(self, **delays):
+        base = replace(nominal_landing_scenario(), duration=8.0)
+        return run_scenario(replace(base, delays=replace(base.delays, **delays)))
+
     def test_optimized_falls_back_when_conditions_fail(self):
-        base = nominal_landing_scenario()
-        slow_confirm = DelayModel(
-            detector_update=base.delays.detector_update,
-            display=base.delays.display,
-            display_confirm=DelaySpec.uniform(0.05, 0.5),
-            video=base.delays.video,
-            pose=base.delays.pose,
-        )
-        trace = run_scenario(replace(base, delays=slow_confirm, duration=8.0))
+        trace = self.run_with(video=DelaySpec.uniform(0.002, 0.008))
         assert trace.scheme_requested == "optimized"
         assert trace.scheme_effective == "safe"
+
+    def test_slow_confirmation_stays_optimized(self):
+        trace = self.run_with(display_confirm=DelaySpec.uniform(0.05, 0.5))
+        assert trace.scheme_effective == "optimized"
+
+
+def test_constant_transport_keeps_every_mismatch_in_a_window():
+    """Under constant transport the optimized windows hold every mismatched
+    stamp, however widely the detector update, the display and its
+    confirmation jitter. Delays are drawn by numpy, so no capture ties with a
+    window edge."""
+    rng = np.random.default_rng(15)
+    timelines, mismatched = [], 0
+
+    def schedule(*args):
+        timelines.append(timing.schedule_update(*args))
+        return timelines[-1]
+
+    def jittered(high):
+        return DelaySpec(*sorted(rng.uniform(0.0, high, 2)))
+
+    nominal = nominal_landing_scenario()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "schedule_update", schedule)
+        for i in range(20):
+            display = jittered(0.1)
+            delays = DelayModel(
+                detector_update=jittered(0.05),
+                display=display,
+                display_confirm=DelaySpec(display.low, display.high + rng.uniform(0.0, 0.2)),
+                video=DelaySpec.constant(rng.uniform(0.0, 0.02)),
+                pose=DelaySpec.constant(rng.uniform(0.0, 0.01)),
+            )
+            timelines.clear()
+            config = randomized_initial_conditions(replace(nominal, delays=delays), 15, i)
+            trace = run_scenario(config)
+            assert trace.scheme_effective == "optimized"
+            windows = [timing.wait_window(tl, "optimized") for tl in timelines]
+            for capture, shown, computed, _ in trace.stamps:
+                if shown != computed:
+                    mismatched += 1
+                    assert any(lo <= capture < hi for lo, hi in windows)
+    assert mismatched > 20  # every run loses frames to its updates
 
 
 class TestDivergence:

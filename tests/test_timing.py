@@ -5,7 +5,6 @@ from markersim.timing import (
     DelayModel,
     DelaySample,
     DelaySpec,
-    OptimizedConditions,
     UpdateProtocol,
     detector_switch_time,
     evaluate_optimized_conditions,
@@ -52,31 +51,40 @@ class TestSafeWait:
         assert wait_window(timeline, "safe") == (2.0, end)
 
 
+def transport_model(video, pose, confirm=DelaySpec.uniform(0.035, 0.060)):
+    return DelayModel(
+        detector_update=DelaySpec.constant(0.005),
+        display=DelaySpec.constant(0.030),
+        display_confirm=confirm,
+        video=video,
+        pose=pose,
+    )
+
+
 class TestOptimizedWait:
-    """When the optimized scheme applies; ``TestOptimizedScheme`` tests its
-    window."""
+    """When the optimized scheme applies: exactly when the transport from
+    capture to pose is constant. ``TestOptimizedScheme`` tests its window."""
 
     @pytest.mark.parametrize(
-        "conds",
+        "video, pose",
         [
-            OptimizedConditions(False, True, True),
-            OptimizedConditions(True, False, True),
-            OptimizedConditions(True, True, False),
+            (DelaySpec.constant(0.005), DelaySpec.uniform(0.001, 0.003)),
+            (DelaySpec.uniform(0.002, 0.008), DelaySpec.uniform(0.001, 0.003)),
         ],
+        ids=["pose", "both"],
     )
-    def test_not_applicable_when_any_condition_fails(self, conds):
-        assert not conds.all_hold
-        assert OptimizedConditions(True, True, True).all_hold
+    def test_not_applicable_when_transport_jitters(self, video, pose):
+        assert not evaluate_optimized_conditions(transport_model(video, pose))
 
     def test_condition_evaluation_nominal(self):
-        conds = evaluate_optimized_conditions(nominal_model(), FRAME)
-        assert conds.all_hold
+        assert evaluate_optimized_conditions(nominal_model())
 
-    def test_condition_fails_on_slow_confirm(self):
-        conds = evaluate_optimized_conditions(
-            nominal_model(confirm=DelaySpec.uniform(0.035, 0.2)), FRAME
-        )
-        assert not conds.confirm_below_loop and not conds.all_hold
+    def test_a_zero_width_range_is_constant(self):
+        model = transport_model(DelaySpec.uniform(0.005, 0.005), DelaySpec.constant(0.002))
+        assert evaluate_optimized_conditions(model)
+
+    def test_slow_confirmation_stays_optimized(self):
+        assert evaluate_optimized_conditions(nominal_model(confirm=DelaySpec.uniform(0.035, 0.2)))
 
     def test_condition_fails_on_jittery_transport(self):
         model = DelayModel(
@@ -86,7 +94,36 @@ class TestOptimizedWait:
             video=DelaySpec.uniform(0.0, 0.03),
             pose=DelaySpec.constant(0.002),
         )
-        assert not evaluate_optimized_conditions(model, FRAME).capture_pose_constant
+        assert not evaluate_optimized_conditions(model)
+
+    def test_transport_jitter_lets_a_mismatch_out_of_the_window(self):
+        """A model that passed the three former threshold gates, and a frame
+        that draws a shorter transport than its update: it shows the new
+        marker, its pose comes out before the switch, and it lies after the
+        window, so only the config check rejects it."""
+        model = transport_model(DelaySpec.uniform(0.002, 0.008), DelaySpec.uniform(0.001, 0.003))
+        video, pose = model.video, model.pose
+        loop_min = model.display.low + FRAME + video.low + pose.low
+        assert model.display_confirm.high < loop_min  # confirmation beats the capture loop
+        assert model.detector_update.low <= 0.25 * FRAME  # a constant update <= T/4
+        mean = FRAME + (video.low + video.high) / 2 + (pose.low + pose.high) / 2
+        variance = ((video.high - video.low) ** 2 + (pose.high - pose.low) ** 2) / 12
+        assert variance ** 0.5 <= 0.05 * mean  # capture-to-pose variation <= 5%
+        assert not evaluate_optimized_conditions(model)
+
+        timeline = schedule_update(0.0032, DelaySample(0.005, 0.030, 0.050, 0.007, 0.0025), FRAME)
+        protocol = UpdateProtocol("optimized")
+        protocol.issue(timeline, 1, ignore_events)
+        lo, hi = wait_window(timeline, "optimized")
+        assert lo == pytest.approx(0.0332) and hi == pytest.approx(0.0665333)
+        capture = 2 * FRAME
+        ready = capture + 0.004  # this frame's video + pose, inside both ranges
+        switch = detector_switch_time(timeline, "optimized")
+        assert switch == pytest.approx(0.0760333)
+        displayed, believed = int(capture >= timeline.display_at), int(ready > switch)
+        assert (displayed, believed) == (1, 0)
+        assert protocol.window_of(capture) is None
+        assert protocol.stamp(capture, displayed, believed).reason == "config_mismatch"
 
 
 class TestScheduleUpdate:
@@ -151,21 +188,24 @@ class TestScheduleUpdate:
 
 class TestStamping:
     def test_steady_state_ok(self):
-        stamp = stamp_validity(5.0, 3, 3, None, "safe")
+        stamp = stamp_validity(3, 3, False)
         assert stamp.valid and stamp.reason == "ok"
 
     def test_mismatch_always_flagged(self):
-        stamp = stamp_validity(5.0, 4, 3, None, "optimized")
-        assert not stamp.valid and stamp.reason == "config_mismatch"
+        for in_window in (False, True):
+            stamp = stamp_validity(4, 3, in_window)
+            assert not stamp.valid and stamp.reason == "config_mismatch"
 
     def test_safe_window_suppresses_capture(self):
         timeline = schedule_update(10.0, nominal_sample(), FRAME)
+        protocol = UpdateProtocol("safe")
+        protocol.issue(timeline, 7, ignore_events)
         lo, hi = wait_window(timeline, "safe")
         assert lo == 10.0
         assert hi == pytest.approx(10.0 + timeline.capture_loop_delay)
-        inside = stamp_validity((lo + hi) / 2, 7, 7, timeline, "safe")
+        inside = protocol.stamp((lo + hi) / 2, 7, 7)
         assert not inside.valid and inside.reason == "within_wait_window"
-        after = stamp_validity(hi + 1e-6, 7, 7, timeline, "safe")
+        after = protocol.stamp(hi + 1e-6, 7, 7)
         assert after.valid
 
     def test_valid_stamp_reason_consistency(self):
@@ -341,7 +381,7 @@ def reference_replay(timeline, scheme, frame_phase):
     period = timeline.frame_period
     transport = timeline.sample.video + timeline.sample.pose
     switch = detector_switch_time(timeline, scheme)
-    hi = wait_window(timeline, scheme)[1]
+    lo, hi = wait_window(timeline, scheme)
     horizon = max(hi, switch - transport, timeline.pose_ready_at) + 2 * period
     start = timeline.issued_at - timeline.capture_pose_delay - period
     rows = []
@@ -350,7 +390,7 @@ def reference_replay(timeline, scheme, frame_phase):
         ready = capture + transport
         displayed = int(capture >= timeline.display_at)
         believed = int(ready > switch)
-        stamp = stamp_validity(capture, displayed, believed, timeline, scheme)
+        stamp = stamp_validity(displayed, believed, lo <= capture < hi)
         rows.append((capture, ready, displayed, believed, stamp.reason))
         k += 1
     return rows
