@@ -121,9 +121,8 @@ def _cmd_batch(args) -> int:
     config = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seed_base = config.seed if args.seed is None else args.seed
-    summaries = run_batch(config, args.n, seed_base, jobs=args.jobs)
-    agg = _write_batch(summaries, out, seed_base=seed_base)
+    summaries = run_batch(config, args.n, config.seed, jobs=args.jobs)
+    agg = _write_batch(summaries, out, seed_base=config.seed)
     mean_err = agg["mean_lateral_error"]
     print(f"runs={agg['runs']} landed={agg['landed']} "
           f"mean_lateral_error={mean_err if mean_err is None else round(mean_err, 4)}")
@@ -147,12 +146,12 @@ def _cmd_compare(args) -> int:
     config = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    seed_base = config.seed if args.seed is None else args.seed
     results, aggregates = {}, {}
     for strategy in STRATEGIES:
         # identical seeds across strategies: differences are attributable to
         # the marker strategy alone
-        summaries = run_batch(replace(config, strategy=strategy), args.n, seed_base, jobs=args.jobs)
+        summaries = run_batch(replace(config, strategy=strategy), args.n, config.seed,
+                              jobs=args.jobs)
         results[strategy] = summaries
         (out / strategy).mkdir(exist_ok=True)
         aggregates[strategy] = _write_batch(summaries, out / strategy)
@@ -218,7 +217,7 @@ def main(argv=None) -> int:
     handler = {"run": _cmd_run, "batch": _cmd_batch, "compare": _cmd_compare}[args.command]
     try:
         return handler(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # simulation failure

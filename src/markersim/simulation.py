@@ -18,12 +18,10 @@ from __future__ import annotations
 import csv
 import heapq
 import math
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import takewhile
-from operator import attrgetter, is_
+from operator import is_
 from typing import NamedTuple
 
 import numpy as np
@@ -245,9 +243,8 @@ class TraceRows(Sequence):
     ``[t_{k-1}, t_k)``. A run that ends between rows adds an end row: the
     last entry, with the last notes since the previous row.
 
-    Iteration and slices sample ``_BLOCK`` rows per pass of ``vehicle_step``'s
-    formula on numpy columns (``_rows``); a single row is sampled on floats,
-    by ``vehicle_step`` itself (``_row``).
+    Rows are sampled ``_BLOCK`` at a time, in passes of ``vehicle_step``'s
+    formula on numpy columns (``_rows``).
     """
 
     def __init__(self, log: list[_Entry], tick_step: float):
@@ -265,7 +262,7 @@ class TraceRows(Sequence):
     def __getitem__(self, k):
         if isinstance(k, slice):
             return list(self._rows(np.arange(self._len)[k]))
-        return self._row(range(self._len)[k])
+        return next(self._rows(np.array([range(self._len)[k]])))
 
     def __iter__(self):
         return self._rows(np.arange(self._len))
@@ -289,22 +286,6 @@ class TraceRows(Sequence):
                 if (i, k) != key:
                     key, rest = (i, k), _cells(log[i], notes[k])
                 yield TickRecord._make(row + rest)
-
-    def _row(self, k: int) -> TickRecord:
-        """Row ``k`` alone, as ``_rows`` samples it, without numpy passes."""
-        log, tick = self._log, self._tick
-        # its entry: the last strictly before it, the last of all at the end row
-        end = k == self._ticks
-        t = log[-1].time if end else k * tick
-        i = len(log) - 1 if end else max(bisect_left(log, t, key=attrgetter("time")) - 1, 0)
-        e = log[i]
-        pose = vehicle_step(e.state, e.cmd, t - e.time).pose if t != e.time else e.state.pose
-        x, y, z = pose.translation.tolist()
-        # its note: the last at or before its entry, if at or after the previous row
-        since = takewhile(lambda j: log[j].time >= (k - 1) * tick, range(i, -1, -1))
-        note = next((log[j].note for j in since if log[j].note), _NO_NOTE)
-        return TickRecord(t, x, y, z, _vehicle_yaw(pose), math.sqrt(x * x + y * y + z * z),
-                          *_cells(e, note))
 
     def _sample(self, ks: np.ndarray):
         """Rows ``ks`` in one pass: their six sampled floats (time to
@@ -357,6 +338,7 @@ class SimTrace:
     status: str  # landed | timeout | diverged
     touchdown_time: float | None
     final_state: tuple
+    initial_yaw: float
     detection_count: int
     dropout_count: int
     invalid_count: int
@@ -381,6 +363,7 @@ class _Engine:
         self.rng = np.random.default_rng(config.seed)
         x, y, z = config.initial_position
         self.state = VehicleState(camera_pose_in_marker(x, y, z, config.initial_yaw), 0.0)
+        self.initial_yaw = _vehicle_yaw(self.state.pose)
         self.desired = invert(camera_pose_in_marker(0.0, 0.0, config.desired_height,
                                                     config.desired_yaw, "camera_desired"))
 
@@ -564,6 +547,7 @@ class _Engine:
             status=self.status,
             touchdown_time=self.touchdown_time,
             final_state=(float(t[0]), float(t[1]), float(t[2]), _vehicle_yaw(self.state.pose)),
+            initial_yaw=self.initial_yaw,
             detection_count=self.detections,
             dropout_count=self.dropouts,
             invalid_count=self.invalid,
@@ -598,7 +582,7 @@ def collect_metrics(trace: SimTrace) -> dict:
         "time_to_land": trace.touchdown_time if landed else None,
         "final_lateral_error": math.hypot(x, y),
         "final_yaw_error": abs(wrap_angle(yaw - trace.desired_yaw)),
-        "initial_yaw_error": abs(wrap_angle(trace.records[0].yaw - trace.desired_yaw)),
+        "initial_yaw_error": abs(wrap_angle(trace.initial_yaw - trace.desired_yaw)),
         "touchdown_x": x if landed else None,
         "touchdown_y": y if landed else None,
         "detection_count": trace.detection_count,

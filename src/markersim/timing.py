@@ -15,7 +15,7 @@ instants,
 and pose estimates are stamped valid or stale against a suppression window.
 
 Two schemes are provided. The safe scheme updates the detector immediately
-and distrusts every capture until max(capture_loop_delay, confirm_delay) has
+and distrusts every capture until max(capture loop, confirm delay) has
 passed, wasting several frames per update. The optimized scheme defers the
 detector update until just before ``pose_ready_at`` and distrusts exactly the
 new-marker frames computed with old parameters: when the switch is not held
@@ -46,7 +46,8 @@ from .domain import Domain, check_fields
 
 @dataclass(frozen=True)
 class DelaySpec:
-    """A nonnegative delay, constant or uniformly jittered."""
+    """A nonnegative delay, constant or uniformly jittered. A zero-width range
+    is the constant: it is stored with ``high`` None and draws nothing."""
 
     low: Annotated[float, Domain("[0, 1e6]")]
     high: Annotated[float | None, Domain("[0, 1e6]", optional=True)] = None
@@ -55,6 +56,8 @@ class DelaySpec:
         check_fields(self)
         if self.high is not None and self.high < self.low:
             raise ValueError(f"delay range is inverted: [{self.low}, {self.high}]")
+        if self.high == self.low:
+            object.__setattr__(self, "high", None)
 
     @classmethod
     def constant(cls, value: float) -> "DelaySpec":
@@ -119,7 +122,7 @@ class DelaySample:
 
 @dataclass(frozen=True)
 class UpdateTimeline:
-    """Event instants for one marker update, plus the derived loop delays.
+    """Event instants for one marker update, with its delays and frame period.
     ``schedule_update`` orders them, as ``DelaySample`` holds no negative delay."""
 
     issued_at: float
@@ -127,8 +130,6 @@ class UpdateTimeline:
     display_at: float
     confirm_at: float
     pose_ready_at: float
-    capture_pose_delay: float
-    capture_loop_delay: float
     sample: DelaySample
     frame_period: float
 
@@ -160,23 +161,19 @@ def evaluate_optimized_conditions(model: DelayModel) -> bool:
     switch - tau_frame)``, after the window, with its pose from the old
     parameters.
     """
-    return all(spec.high is None or spec.high == spec.low for spec in (model.video, model.pose))
+    return model.video.high is None and model.pose.high is None
 
 
 def schedule_update(issued_at: float, sample: DelaySample, frame_period: float) -> UpdateTimeline:
     """Lay out the event timeline for one update from sampled delays."""
     if frame_period <= 0:
         raise ValueError(f"frame_period must be > 0, got {frame_period}")
-    capture_pose = frame_period + sample.video + sample.pose
-    capture_loop = sample.display + capture_pose
     return UpdateTimeline(
         issued_at=issued_at,
         detector_confirm_at=issued_at + sample.detector_update,
         display_at=issued_at + sample.display,
         confirm_at=issued_at + sample.display_confirm,
-        pose_ready_at=issued_at + sample.display + capture_pose,
-        capture_pose_delay=capture_pose,
-        capture_loop_delay=capture_loop,
+        pose_ready_at=issued_at + sample.display + (frame_period + sample.video + sample.pose),
         sample=sample,
         frame_period=frame_period,
     )
@@ -213,7 +210,9 @@ def wait_window(timeline: UpdateTimeline, scheme: str) -> tuple[float, float]:
     rejects it.
     """
     if scheme == "safe":
-        wait = max(timeline.capture_loop_delay, timeline.sample.display_confirm)
+        sample = timeline.sample
+        capture_loop = sample.display + (timeline.frame_period + sample.video + sample.pose)
+        wait = max(capture_loop, sample.display_confirm)
         return (timeline.issued_at, timeline.issued_at + wait)
     if scheme == "optimized":
         transport = timeline.sample.video + timeline.sample.pose
@@ -365,7 +364,7 @@ def replay_update_frames(
         detector_switch_time(timeline, scheme) - transport,
         timeline.pose_ready_at,
     ) + 2 * period
-    start = timeline.issued_at - timeline.capture_pose_delay - period
+    start = timeline.issued_at - (period + timeline.sample.video + timeline.sample.pose) - period
     k = int(np.ceil((start - frame_phase) / period))
     while (capture := frame_phase + k * period) <= horizon:
         push(capture, PRIO_GRAB, "grab")

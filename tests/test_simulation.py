@@ -3,6 +3,7 @@ import csv
 import math
 import re
 import tempfile
+from collections.abc import Sequence
 from dataclasses import replace
 from pathlib import Path
 
@@ -379,7 +380,7 @@ class TestMetrics:
         return SimTrace(
             records=[record], events=[], stamps=[], status=status,
             touchdown_time=touchdown if status == "landed" else None,
-            final_state=(x, y, 0.015, yaw), detection_count=10, dropout_count=1,
+            final_state=(x, y, 0.015, yaw), initial_yaw=0.5, detection_count=10, dropout_count=1,
             invalid_count=2, window_dropout_count=1, marker_update_count=3, family_switch_count=1,
             max_detection_distance=2.5, desired_yaw=0.0, seed=0,
             strategy="dynamic", scheme_requested="optimized",
@@ -407,7 +408,18 @@ class TestMetrics:
             collect_metrics(trace)
 
     def test_initial_yaw_error_from_first_record(self):
-        m = collect_metrics(self.make_trace())
+        # the first record's yaw is the initial heading, which the run keeps
+        # apart: the summary reads the row count and no row
+        class LengthOnly(Sequence):
+            def __len__(self):
+                return 1
+
+            def __getitem__(self, k):
+                raise AssertionError("collect_metrics read a row")
+
+        trace = self.make_trace()
+        trace.records = LengthOnly()
+        m = collect_metrics(trace)
         assert m["initial_yaw_error"] == pytest.approx(0.5)
 
 
@@ -454,6 +466,17 @@ class TestSchemeFallback:
     def test_slow_confirmation_stays_optimized(self):
         trace = self.run_with(display_confirm=DelaySpec.uniform(0.05, 0.5))
         assert trace.scheme_effective == "optimized"
+
+    def test_a_zero_width_range_runs_as_the_constant(self, tmp_path):
+        # it draws nothing, so every later draw is the constant's
+        outputs = []
+        for video in (DelaySpec.uniform(0.005, 0.005), DelaySpec.constant(0.005)):
+            trace = self.run_with(video=video)
+            trace_to_csv(trace, tmp_path / "trace.csv")
+            events_to_csv(trace, tmp_path / "events.csv")
+            outputs.append(((tmp_path / "trace.csv").read_bytes(),
+                            (tmp_path / "events.csv").read_bytes(), collect_metrics(trace)))
+        assert outputs[0] == outputs[1]
 
 
 def test_constant_transport_keeps_every_mismatch_in_a_window():
@@ -731,7 +754,7 @@ def test_the_run_does_not_depend_on_the_tick(config, tick_a, tick_b):
     """Two ticks give bit-identical ends, events and stamps, and equal rows
     at every instant both sample (notes aside: they describe the interval
     since the previous row)."""
-    # a is the sparser run: its rows are all built, b's only where they share an instant
+    # a is the sparser run: its rows are looked up among b's
     (tick_a, a), (tick_b, b) = sorted(
         ((t, run_scenario(replace(config, tick_step=t))) for t in (tick_a, tick_b)),
         key=lambda run: len(run[1].records),
@@ -741,12 +764,13 @@ def test_the_run_does_not_depend_on_the_tick(config, tick_a, tick_b):
     assert a.stamps == b.stamps
     notes = {"detect_status", "validity", "est_x", "est_y", "est_z", "est_yaw"}
     state = [i for i, name in enumerate(TRACE_COLUMNS) if name not in notes]
-    b_index = {b.records[-1].time: len(b.records) - 1}
-    b_index.update((k * tick_b, k) for k in range(len(b.records) - 1))
+    b_rows = list(b.records)
+    b_index = {b_rows[-1].time: len(b_rows) - 1}
+    b_index.update((k * tick_b, k) for k in range(len(b_rows) - 1))
     shared = 0
     for row in a.records:
         if row.time in b_index:
-            other = b.records[b_index[row.time]]
+            other = b_rows[b_index[row.time]]
             assert [row[i] for i in state] == [other[i] for i in state]
             shared += 1
     assert shared >= 1  # the start at least
@@ -758,9 +782,11 @@ def bits(*values) -> bytes:
 
 def check_rows_are_vehicle_steps(trace, tick_step) -> set:
     """Assert that every row's pose is ``vehicle_step``'s from its entry, bit
-    for bit, and that single rows and slices are the rows of the whole pass;
-    return the kinds of motion the rows sampled."""
+    for bit, that the first row's yaw is the run's initial heading, and that
+    single rows and slices are the rows of the whole pass; return the kinds of
+    motion the rows sampled."""
     rows, log = list(trace.records), trace.records._log
+    assert bits(trace.initial_yaw) == bits(rows[0].yaw)
     times, kinds = [e.time for e in log], set()
     for k, row in enumerate(rows):
         if row.time == k * tick_step:  # a tick row: the last entry strictly before it
@@ -810,6 +836,21 @@ def test_rows_cover_every_branch_of_the_step():
     for config in (nominal, hover):
         kinds |= check_rows_are_vehicle_steps(run_scenario(config), config.tick_step)
     assert kinds == {"zero twist", "small", "large"}
+
+
+def test_a_single_row_is_sampled_by_the_row_pass(monkeypatch):
+    trace = run_scenario(replace(nominal_landing_scenario(), duration=0.5))
+    rows, n = list(trace.records), len(trace.records)
+    sampled = []
+    sample = simulation.TraceRows._sample
+
+    def spy(self, ks):
+        sampled.append(ks.tolist())
+        return sample(self, ks)
+
+    monkeypatch.setattr(simulation.TraceRows, "_sample", spy)
+    assert [trace.records[k] for k in (0, 7, -1)] == [rows[0], rows[7], rows[-1]]
+    assert sampled == [[0], [7], [n - 1]]
 
 
 def test_the_log_holds_no_marker_config():

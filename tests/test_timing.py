@@ -47,7 +47,8 @@ class TestSafeWait:
                              ids=["capture-loop-longer", "confirmation-longer", "tie"])
     def test_window(self, confirm, end):
         timeline = schedule_update(2.0, DelaySample(0.0, 0.25, confirm, 0.125, 0.125), 0.5)
-        assert timeline.capture_loop_delay == 1.0
+        s = timeline.sample
+        assert s.display + (timeline.frame_period + s.video + s.pose) == 1.0
         assert wait_window(timeline, "safe") == (2.0, end)
 
 
@@ -80,6 +81,7 @@ class TestOptimizedWait:
         assert evaluate_optimized_conditions(nominal_model())
 
     def test_a_zero_width_range_is_constant(self):
+        assert DelaySpec.uniform(0.005, 0.005) == DelaySpec.constant(0.005)
         model = transport_model(DelaySpec.uniform(0.005, 0.005), DelaySpec.constant(0.002))
         assert evaluate_optimized_conditions(model)
 
@@ -139,8 +141,8 @@ class TestScheduleUpdate:
         assert timeline.display_at == pytest.approx(2.030)
         assert timeline.confirm_at == pytest.approx(2.050)
         assert timeline.pose_ready_at == pytest.approx(2.070)
-        assert timeline.capture_pose_delay == pytest.approx(0.040)
-        assert timeline.capture_loop_delay == pytest.approx(0.070)
+        assert 0.033 + sample.video + sample.pose == pytest.approx(0.040)
+        assert sample.display + (0.033 + sample.video + sample.pose) == pytest.approx(0.070)
 
     def test_identities_exact(self):
         rng = np.random.default_rng(0)
@@ -154,9 +156,9 @@ class TestScheduleUpdate:
             )
             frame = rng.uniform(0.01, 0.05)
             tl = schedule_update(rng.uniform(0, 100), sample, frame)
-            assert tl.capture_pose_delay == frame + sample.video + sample.pose
-            assert tl.capture_loop_delay == sample.display + tl.capture_pose_delay
-            assert tl.pose_ready_at == tl.display_at + tl.capture_pose_delay
+            capture_pose = frame + sample.video + sample.pose
+            assert tl.frame_period == frame and tl.sample == sample
+            assert tl.pose_ready_at == tl.display_at + capture_pose
             assert tl.issued_at <= tl.detector_confirm_at
             assert tl.issued_at <= tl.display_at <= tl.confirm_at
             assert tl.display_at <= tl.pose_ready_at
@@ -202,7 +204,8 @@ class TestStamping:
         protocol.issue(timeline, 7, ignore_events)
         lo, hi = wait_window(timeline, "safe")
         assert lo == 10.0
-        assert hi == pytest.approx(10.0 + timeline.capture_loop_delay)
+        s = timeline.sample
+        assert hi == pytest.approx(10.0 + (s.display + (FRAME + s.video + s.pose)))
         inside = protocol.stamp((lo + hi) / 2, 7, 7)
         assert not inside.valid and inside.reason == "within_wait_window"
         after = protocol.stamp(hi + 1e-6, 7, 7)
@@ -383,7 +386,7 @@ def reference_replay(timeline, scheme, frame_phase):
     switch = detector_switch_time(timeline, scheme)
     lo, hi = wait_window(timeline, scheme)
     horizon = max(hi, switch - transport, timeline.pose_ready_at) + 2 * period
-    start = timeline.issued_at - timeline.capture_pose_delay - period
+    start = timeline.issued_at - (period + timeline.sample.video + timeline.sample.pose) - period
     rows = []
     k = int(np.ceil((start - frame_phase) / period))
     while (capture := frame_phase + k * period) <= horizon:
