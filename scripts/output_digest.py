@@ -1,0 +1,82 @@
+"""Print one sha256 per group of scenario runs, over every output a run makes.
+
+Each run is hashed over its ``trace.csv``, ``events.csv``, ``summary.json``
+(as ``markersim run`` writes them) and its validity stamps. The groups:
+
+- ``criterion6-<scheme>``: the 50 randomized landing starts of acceptance
+  criterion 6 (seed base 2026), under each timing scheme;
+- ``jittered``: 10 of those starts with a jittered transport (video
+  U(0, 30) ms, pose U(0, 20) ms), which fall back to the safe scheme;
+- ``<workload>``: inputs 0-4 of each benchmark workload at seed 1, built
+  from the overrides in ``perfbench/workloads.py``.
+
+Two checkouts produce the same outputs when their digests match:
+
+    python scripts/output_digest.py > new.txt
+    python scripts/output_digest.py /path/to/other/checkout > old.txt
+    diff old.txt new.txt
+
+The optional argument is the checkout whose ``markersim`` and ``perfbench``
+are imported (default: the one holding this script). Files are written only
+under a temporary directory.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+checkout = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent)
+sys.path[:0] = [str(checkout / "src"), str(checkout)]
+
+# imported after the path is set, from the checkout named above
+from markersim.scenario import (  # noqa: E402
+    nominal_landing_scenario, randomized_initial_conditions, scenario_from_dict)
+from markersim.simulation import (  # noqa: E402
+    collect_metrics, events_to_csv, run_scenario, trace_to_csv)
+from markersim.timing import DelaySpec  # noqa: E402
+from perfbench import workloads  # noqa: E402
+
+
+def groups():
+    """(name, configs) of every input group."""
+    nominal = nominal_landing_scenario()
+    for scheme in ("optimized", "safe"):
+        base = replace(nominal, timing_scheme=scheme)
+        yield f"criterion6-{scheme}", [randomized_initial_conditions(base, 2026, i)
+                                       for i in range(50)]
+    delays = replace(nominal.delays, video=DelaySpec.uniform(0.0, 0.030),
+                     pose=DelaySpec.uniform(0.0, 0.020))
+    jittered = replace(nominal, delays=delays)
+    yield "jittered", [randomized_initial_conditions(jittered, 2026, i) for i in range(10)]
+    base = json.loads(workloads.LANDING.read_text(encoding="utf-8"))
+    extra = {"board-heavy": workloads.BOARD_HEAVY, "trace-hover": workloads.TRACE_HOVER}
+    for name in workloads.WORKLOADS:
+        config = scenario_from_dict(workloads._merge(base, extra.get(name, {})))
+        yield name, [randomized_initial_conditions(config, 1, i) for i in range(5)]
+
+
+def run_bytes(config, out: Path) -> bytes:
+    trace = run_scenario(config)
+    trace_to_csv(trace, out / "trace.csv")
+    events_to_csv(trace, out / "events.csv")
+    summary = json.dumps(collect_metrics(trace), indent=2, sort_keys=True) + "\n"
+    return b"".join(((out / "trace.csv").read_bytes(), (out / "events.csv").read_bytes(),
+                     summary.encode(), repr(trace.stamps).encode()))
+
+
+def main():
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, configs in groups():
+            digest = hashlib.sha256()
+            for config in configs:
+                digest.update(run_bytes(config, Path(tmp)))
+            print(f"{name:20s} {len(configs):3d} runs  {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

@@ -16,7 +16,6 @@ produce byte-identical traces.
 from __future__ import annotations
 
 import csv
-import heapq
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -32,12 +31,7 @@ from .marker_control import apply_update, bootstrap_config, select_marker
 from .pbvs import VelocityCommand, clamp_command, control_law, error_and_rotation, with_descent
 from .perception import DetectorParams, NoDetection, camera_position_in_marker, simulate_detection
 from .scenario import ScenarioConfig
-from .timing import (PRIO_GRAB, PRIO_POSE_READY, UpdateProtocol, evaluate_optimized_conditions,
-                     schedule_update)
-
-# External events come after every update-protocol event at equal timestamps.
-_PRIO_LANDING = 6
-_PRIO_END = 9
+from .timing import EventQueue, UpdateProtocol, evaluate_optimized_conditions, schedule_update
 
 # A row this close to the end instant, relative to it, is the end row: the
 # product k * tick_step may miss the duration it names by an ulp or two.
@@ -324,7 +318,7 @@ def _sampled_columns(log: list[_Entry], j: np.ndarray, dt: np.ndarray):
 
 @dataclass
 class SimTrace:
-    """Full record of one run plus the counters the metrics derive from.
+    """Full record of one run, its configuration and the counts the metrics use.
 
     ``records`` is the row sequence (a ``TraceRows`` for an engine run).
     ``stamps`` is the validity audit: one (capture_time, displayed_config_id,
@@ -346,12 +340,8 @@ class SimTrace:
     marker_update_count: int
     family_switch_count: int
     max_detection_distance: float | None
-    desired_yaw: float
-    seed: int
-    strategy: str
-    scheme_requested: str
-    scheme_effective: str
-    size_rule: str
+    config: ScenarioConfig
+    scheme_effective: str  # the scheme the run used, safe when optimized does not apply
 
 
 TRACE_COLUMNS = TickRecord._fields
@@ -385,18 +375,11 @@ class _Engine:
         self.log: list[_Entry] = []
         self.events: list[EventRecord] = []
         self.stamp_audit: list[tuple] = []
-        self.detections = self.dropouts = self.invalid = self.window_dropouts = 0
-        self.updates = self.family_switches = 0
+        self.dropouts = self.window_dropouts = self.family_switches = 0
         self.max_detect_dist: float | None = None
 
         self.status = "running"
-        self.touchdown_time: float | None = None
-        self._heap = []
-        self._seq = 0
-
-    def _push(self, time: float, prio: int, kind: str, payload=None):
-        heapq.heappush(self._heap, (time, prio, self._seq, kind, payload))
-        self._seq += 1
+        self.queue = EventQueue()
 
     # -- motion, termination and the log ---------------------------------
 
@@ -429,8 +412,6 @@ class _Engine:
             else:
                 hi, self.state = mid, probe
         self.status = self._outcome(self.state.pose)
-        if self.status == "landed":
-            self.touchdown_time = self.state.time
         return True
 
     def _log_entry(self, note: tuple | None = None):
@@ -442,9 +423,9 @@ class _Engine:
     def _on_grab(self, now: float, k: int):
         true_rel = invert(self.state.pose)  # marker -> camera
         transport = self.cfg.delays.video.sample(self.rng) + self.cfg.delays.pose.sample(self.rng)
-        self._push(now + transport, PRIO_POSE_READY, "pose-ready", (now, true_rel, self.displayed))
+        self.queue.push(now + transport, "pose-ready", (now, true_rel, self.displayed))
         # on the frame grid, as rows are on theirs, so that coinciding instants are equal
-        self._push((k + 1) * self.cfg.intrinsics.frame_period, PRIO_GRAB, "grab", k + 1)
+        self.queue.push((k + 1) * self.cfg.intrinsics.frame_period, "grab", k + 1)
 
     def _on_pose_ready(self, now: float, capture_time, true_rel, displayed_at_capture):
         result = simulate_detection(true_rel, displayed_at_capture, self.detector, self.rng,
@@ -453,7 +434,6 @@ class _Engine:
             self.dropouts += 1
             self.window_dropouts += self.protocol.window_of(capture_time) is not None
             return (f"no-detection:{result.reason}", *_NO_NOTE[1:])
-        self.detections += 1
         self.max_detect_dist = max(self.max_detect_dist or 0.0, vector_norm(true_rel.translation))
         shown = displayed_at_capture.config_id
         stamp = self.protocol.stamp(capture_time, shown, result.computed_against)
@@ -461,7 +441,6 @@ class _Engine:
         cam = camera_position_in_marker(result)
         note = ("detected", stamp.reason, float(cam[0]), float(cam[1]), float(cam[2]), result.yaw)
         if not stamp.valid:
-            self.invalid += 1
             return note
 
         error, rotation = error_and_rotation(result, self.desired)
@@ -496,9 +475,8 @@ class _Engine:
         if marker.family.kind is not self.commanded.family.kind:
             self.family_switches += 1
         self.commanded = marker
-        self.updates += 1
         self.events.append(EventRecord(now, "command", marker.config_id))
-        self.protocol.issue(timeline, marker, self._push)
+        self.protocol.issue(timeline, marker, self.queue)
 
     def _on_update_event(self, now: float, kind: str, marker: MarkerConfig):
         self.events.append(EventRecord(now, kind, marker.config_id))
@@ -512,15 +490,15 @@ class _Engine:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> SimTrace:
-        cfg = self.cfg
-        self._push(0.0, PRIO_GRAB, "grab", 0)
+        cfg, queue = self.cfg, self.queue
+        queue.push(0.0, "grab", 0)
         if cfg.landing_trigger_time is not None:
-            self._push(cfg.landing_trigger_time, _PRIO_LANDING, "landing_trigger")
-        self._push(cfg.duration, _PRIO_END, "end")
+            queue.push(cfg.landing_trigger_time, "landing_trigger")
+        queue.push(cfg.duration, "end")
 
         self._log_entry()
         while True:  # the end event stops the loop at the latest
-            time, _, _, kind, payload = heapq.heappop(self._heap)
+            time, kind, payload = queue.pop()
             if self._move_to(time):
                 break
             note = None
@@ -545,22 +523,18 @@ class _Engine:
             events=self.events,
             stamps=self.stamp_audit,
             status=self.status,
-            touchdown_time=self.touchdown_time,
+            touchdown_time=self.state.time if self.status == "landed" else None,
             final_state=(float(t[0]), float(t[1]), float(t[2]), _vehicle_yaw(self.state.pose)),
             initial_yaw=self.initial_yaw,
-            detection_count=self.detections,
+            detection_count=len(self.stamp_audit),
             dropout_count=self.dropouts,
-            invalid_count=self.invalid,
+            invalid_count=sum(stamp[3] != "ok" for stamp in self.stamp_audit),
             window_dropout_count=self.window_dropouts,
-            marker_update_count=self.updates,
+            marker_update_count=sum(e.kind == "command" for e in self.events),
             family_switch_count=self.family_switches,
             max_detection_distance=self.max_detect_dist,
-            desired_yaw=cfg.desired_yaw,
-            seed=cfg.seed,
-            strategy=cfg.strategy,
-            scheme_requested=cfg.timing_scheme,
+            config=cfg,
             scheme_effective=self.protocol.scheme,
-            size_rule=cfg.size_rule,
         )
 
 
@@ -575,14 +549,14 @@ def collect_metrics(trace: SimTrace) -> dict:
     if not trace.records:
         raise ValueError("cannot summarize an empty trace")
     x, y, _, yaw = trace.final_state
-    landed = trace.status == "landed"
+    cfg, landed = trace.config, trace.status == "landed"
     return {
         "status": trace.status,
         "landed": landed,
         "time_to_land": trace.touchdown_time if landed else None,
         "final_lateral_error": math.hypot(x, y),
-        "final_yaw_error": abs(wrap_angle(yaw - trace.desired_yaw)),
-        "initial_yaw_error": abs(wrap_angle(trace.initial_yaw - trace.desired_yaw)),
+        "final_yaw_error": abs(wrap_angle(yaw - cfg.desired_yaw)),
+        "initial_yaw_error": abs(wrap_angle(trace.initial_yaw - cfg.desired_yaw)),
         "touchdown_x": x if landed else None,
         "touchdown_y": y if landed else None,
         "detection_count": trace.detection_count,
@@ -592,10 +566,10 @@ def collect_metrics(trace: SimTrace) -> dict:
         "marker_update_count": trace.marker_update_count,
         "family_switch_count": trace.family_switch_count,
         "max_detection_distance": trace.max_detection_distance,
-        "seed": trace.seed,
-        "strategy": trace.strategy,
+        "seed": cfg.seed,
+        "strategy": cfg.strategy,
         "timing_scheme": trace.scheme_effective,
-        "size_rule": trace.size_rule,
+        "size_rule": cfg.size_rule,
     }
 
 

@@ -25,17 +25,18 @@ applies exactly when the transport from capture to pose (``video`` plus
 jitter the engine runs the safe scheme instead, and ``summary.json`` reports
 ``timing_scheme`` as ``safe``.
 
-``UpdateProtocol`` holds the event order at equal timestamps, the order of
-updates and every update's window; the engine in ``markersim.simulation``
-and ``replay_update_frames`` both drive it.
+``EventQueue`` holds the order of events at equal timestamps, one table
+that puts the detector update before a pose coming out at its instant;
+``UpdateProtocol`` holds the order of updates and every update's window. The
+engine in ``markersim.simulation`` and ``replay_update_frames`` drive both.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from operator import itemgetter
 from typing import Annotated
 
@@ -138,12 +139,11 @@ class UpdateTimeline:
 class ValidityStamp:
     """Whether a pose estimate may be trusted, and why not."""
 
-    valid: bool
     reason: str  # ok | within_wait_window | config_mismatch
 
-    def __post_init__(self):
-        if self.valid and self.reason != "ok":
-            raise ValueError(f"a valid stamp must have reason 'ok', got '{self.reason}'")
+    @property
+    def valid(self) -> bool:
+        return self.reason == "ok"
 
 
 def evaluate_optimized_conditions(model: DelayModel) -> bool:
@@ -203,11 +203,9 @@ def wait_window(timeline: UpdateTimeline, scheme: str) -> tuple[float, float]:
     show the new marker) until the deferred switch, translated from
     pose-ready time to capture time by the transport and computation delay:
     the new-marker frames whose poses still come out with the old
-    parameters. Captures before it show the old marker and captures after it
-    reach the new parameters, so both stay valid. A capture exactly at the
-    upper edge comes out at the switch instant, still with the old
-    parameters (``PRIO_POSE_READY`` comes first); only the config check
-    rejects it.
+    parameters. Captures before it show the old marker and captures from
+    its upper edge on reach the new parameters (at the switch instant the
+    detector update comes first, ``EventQueue``), so both stay valid.
     """
     if scheme == "safe":
         sample = timeline.sample
@@ -229,10 +227,10 @@ def stamp_validity(frame_config_id: int, detector_config_id: int,
     is distrusted when it falls inside an update's wait window.
     """
     if frame_config_id != detector_config_id:
-        return ValidityStamp(False, "config_mismatch")
+        return ValidityStamp("config_mismatch")
     if in_window:
-        return ValidityStamp(False, "within_wait_window")
-    return ValidityStamp(True, "ok")
+        return ValidityStamp("within_wait_window")
+    return ValidityStamp("ok")
 
 
 def update_complete_time(timeline: UpdateTimeline, scheme: str) -> float:
@@ -248,19 +246,36 @@ def update_complete_time(timeline: UpdateTimeline, scheme: str) -> float:
 
 # Event order at equal timestamps: a frame grabbed at the display instant
 # already shows the new marker, and a pose coming out at the detector-update
-# instant was still computed with the old parameters.
-PRIO_DISPLAY = 0
-PRIO_CONFIRM = 1
-PRIO_GRAB = 2
-PRIO_POSE_READY = 3
-PRIO_DETECTOR_UPDATE = 4
-PRIO_UPDATE_COMPLETE = 5
+# instant is computed with the new parameters. The engine's own events come
+# after every update-protocol event.
+_ORDER = {kind: rank for rank, kind in enumerate((
+    "display", "confirmation", "grab", "detector-update", "pose-ready", "update-complete",
+    "landing_trigger", "end"))}
+
+
+class EventQueue:
+    """Events ``(time, kind, payload)`` popped in time order, at equal times
+    in the order of their kinds in ``_ORDER``, and otherwise as pushed."""
+
+    def __init__(self):
+        self._heap = []
+        self._seq = itertools.count()
+
+    def __bool__(self) -> bool:
+        return bool(self._heap)
+
+    def push(self, time: float, kind: str, payload=None):
+        heappush(self._heap, (time, _ORDER[kind], next(self._seq), kind, payload))
+
+    def pop(self) -> tuple:
+        time, _, _, kind, payload = heappop(self._heap)
+        return time, kind, payload
 
 
 class UpdateProtocol:
     """The update protocol under one scheme. The driver owns the event queue,
-    grabs frames at ``PRIO_GRAB``, delivers poses at ``PRIO_POSE_READY`` and
-    acts on each protocol event as it pops.
+    grabs frames and delivers poses on it, and acts on each protocol event as
+    it pops.
 
     Updates run one at a time: a proposal made while one is in flight waits,
     and only the latest waiting one survives. ``window_of`` bisects over the
@@ -292,19 +307,16 @@ class UpdateProtocol:
         payload, self._waiting, self._in_flight = self._waiting, None, False
         return payload
 
-    def issue(self, timeline: UpdateTimeline, payload, push):
-        """Start an update: keep its window and queue its four events via
-        ``push(time, prio, kind, payload)``."""
+    def issue(self, timeline: UpdateTimeline, payload, queue: EventQueue):
+        """Start an update: keep its window and queue its four events."""
         if self._in_flight:
             raise RuntimeError("an update is already in flight")
         self._in_flight = True
         self._windows.append((*wait_window(timeline, self.scheme), timeline))
-        push(timeline.display_at, PRIO_DISPLAY, "display", payload)
-        push(timeline.confirm_at, PRIO_CONFIRM, "confirmation", payload)
-        push(detector_switch_time(timeline, self.scheme), PRIO_DETECTOR_UPDATE, "detector-update",
-             payload)
-        push(update_complete_time(timeline, self.scheme), PRIO_UPDATE_COMPLETE, "update-complete",
-             payload)
+        queue.push(timeline.display_at, "display", payload)
+        queue.push(timeline.confirm_at, "confirmation", payload)
+        queue.push(detector_switch_time(timeline, self.scheme), "detector-update", payload)
+        queue.push(update_complete_time(timeline, self.scheme), "update-complete", payload)
 
     def window_of(self, capture_time: float) -> UpdateTimeline | None:
         """The update whose wait window holds ``capture_time``: the last to
@@ -350,13 +362,8 @@ def replay_update_frames(
     engine's business. Runs from one capture loop before the command (frames
     still in the pipe when it is issued) until past every window.
     """
-    protocol = UpdateProtocol(scheme)
-    heap, seq = [], itertools.count()
-
-    def push(time, prio, kind, payload=None):
-        heapq.heappush(heap, (time, prio, next(seq), kind, payload))
-
-    protocol.issue(timeline, 1, push)
+    protocol, queue = UpdateProtocol(scheme), EventQueue()
+    protocol.issue(timeline, 1, queue)
     period = timeline.frame_period
     transport = timeline.sample.video + timeline.sample.pose
     horizon = max(
@@ -367,15 +374,15 @@ def replay_update_frames(
     start = timeline.issued_at - (period + timeline.sample.video + timeline.sample.pose) - period
     k = int(np.ceil((start - frame_phase) / period))
     while (capture := frame_phase + k * period) <= horizon:
-        push(capture, PRIO_GRAB, "grab")
+        queue.push(capture, "grab")
         k += 1
 
     displayed = believed = 0
     outcomes = []
-    while heap:
-        time, _, _, kind, payload = heapq.heappop(heap)
+    while queue:
+        time, kind, payload = queue.pop()
         if kind == "grab":
-            push(time + transport, PRIO_POSE_READY, "pose-ready", (time, displayed))
+            queue.push(time + transport, "pose-ready", (time, displayed))
         elif kind == "pose-ready":
             capture, shown = payload
             stamp = protocol.stamp(capture, shown, believed)

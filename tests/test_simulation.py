@@ -382,9 +382,8 @@ class TestMetrics:
             touchdown_time=touchdown if status == "landed" else None,
             final_state=(x, y, 0.015, yaw), initial_yaw=0.5, detection_count=10, dropout_count=1,
             invalid_count=2, window_dropout_count=1, marker_update_count=3, family_switch_count=1,
-            max_detection_distance=2.5, desired_yaw=0.0, seed=0,
-            strategy="dynamic", scheme_requested="optimized",
-            scheme_effective="optimized", size_rule="consistent",
+            max_detection_distance=2.5, config=nominal_landing_scenario(),
+            scheme_effective="optimized",
         )
 
     def test_lateral_error_is_euclidean(self):
@@ -460,7 +459,7 @@ class TestSchemeFallback:
 
     def test_optimized_falls_back_when_conditions_fail(self):
         trace = self.run_with(video=DelaySpec.uniform(0.002, 0.008))
-        assert trace.scheme_requested == "optimized"
+        assert trace.config.timing_scheme == "optimized"
         assert trace.scheme_effective == "safe"
 
     def test_slow_confirmation_stays_optimized(self):

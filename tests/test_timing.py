@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from markersim.timing import (
+    _ORDER,
     DelayModel,
     DelaySample,
     DelaySpec,
+    EventQueue,
     UpdateProtocol,
+    ValidityStamp,
     detector_switch_time,
     evaluate_optimized_conditions,
     replay_update_frames,
@@ -115,14 +118,14 @@ class TestOptimizedWait:
 
         timeline = schedule_update(0.0032, DelaySample(0.005, 0.030, 0.050, 0.007, 0.0025), FRAME)
         protocol = UpdateProtocol("optimized")
-        protocol.issue(timeline, 1, ignore_events)
+        protocol.issue(timeline, 1, EventQueue())
         lo, hi = wait_window(timeline, "optimized")
         assert lo == pytest.approx(0.0332) and hi == pytest.approx(0.0665333)
         capture = 2 * FRAME
         ready = capture + 0.004  # this frame's video + pose, inside both ranges
         switch = detector_switch_time(timeline, "optimized")
         assert switch == pytest.approx(0.0760333)
-        displayed, believed = int(capture >= timeline.display_at), int(ready > switch)
+        displayed, believed = int(capture >= timeline.display_at), int(ready >= switch)
         assert (displayed, believed) == (1, 0)
         assert protocol.window_of(capture) is None
         assert protocol.stamp(capture, displayed, believed).reason == "config_mismatch"
@@ -201,7 +204,7 @@ class TestStamping:
     def test_safe_window_suppresses_capture(self):
         timeline = schedule_update(10.0, nominal_sample(), FRAME)
         protocol = UpdateProtocol("safe")
-        protocol.issue(timeline, 7, ignore_events)
+        protocol.issue(timeline, 7, EventQueue())
         lo, hi = wait_window(timeline, "safe")
         assert lo == 10.0
         s = timeline.sample
@@ -212,10 +215,8 @@ class TestStamping:
         assert after.valid
 
     def test_valid_stamp_reason_consistency(self):
-        from markersim.timing import ValidityStamp
-
-        with pytest.raises(ValueError):
-            ValidityStamp(True, "config_mismatch")
+        for reason in ("ok", "within_wait_window", "config_mismatch"):
+            assert ValidityStamp(reason).valid == (reason == "ok")
 
 
 class TestOptimizedScheme:
@@ -276,8 +277,28 @@ class TestOptimizedScheme:
         assert update_complete_time(timeline, "safe") >= timeline.confirm_at
 
 
-def ignore_events(*event):
-    pass
+class TestEventQueue:
+    def test_equal_times_pop_in_the_order_of_kinds(self):
+        queue = EventQueue()
+        for kind in reversed(list(_ORDER)):
+            queue.push(1.0, kind)
+        queue.push(0.5, "end")
+        popped = []
+        while queue:
+            popped.append(queue.pop())
+        assert popped == [(0.5, "end", None)] + [(1.0, kind, None) for kind in _ORDER]
+
+    def test_one_kind_at_one_instant_pops_as_pushed(self):
+        queue = EventQueue()
+        queue.push(2.0, "pose-ready", "first")
+        queue.push(2.0, "pose-ready", "second")
+        assert [queue.pop(), queue.pop()] == [(2.0, "pose-ready", "first"),
+                                              (2.0, "pose-ready", "second")]
+        assert not queue
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(KeyError):
+            EventQueue().push(0.0, "no-such-event")
 
 
 class TestUpdateProtocol:
@@ -285,7 +306,7 @@ class TestUpdateProtocol:
         protocol, issued = UpdateProtocol("safe"), []
 
         def issue(payload, at):
-            protocol.issue(schedule_update(at, nominal_sample(), FRAME), payload, ignore_events)
+            protocol.issue(schedule_update(at, nominal_sample(), FRAME), payload, EventQueue())
             issued.append(payload)
 
         assert protocol.propose("a")
@@ -308,7 +329,7 @@ class TestUpdateProtocol:
         for payload in range(10):
             timelines.append(schedule_update(issued, nominal_sample(), FRAME))
             assert protocol.propose(payload)
-            protocol.issue(timelines[-1], payload, ignore_events)
+            protocol.issue(timelines[-1], payload, EventQueue())
             assert protocol.complete() is None
             issued = update_complete_time(timelines[-1], scheme)
         for timeline in timelines:
@@ -362,24 +383,35 @@ class TestOptimizedWindowIsTheMismatch:
                        if not o.stamp.valid]
             assert len(invalid) == 1 and invalid[0].mismatched
 
-    def test_distrusted_exactly_when_mismatched(self):
+    def check_distrusted_exactly_when_mismatched(self, grid):
         rng = np.random.default_rng(2026)
         updates, mismatched = 10_000, 0
         for _ in range(updates):
             sample, frame = random_physical_sample(rng)
-            timeline = schedule_update(rng.uniform(0.0, 2.0), sample, frame)
+            issued, phase = rng.uniform(0.0, 2.0), rng.uniform(0.0, frame)
+            if grid:
+                sample, frame, issued, phase = on_dyadic_grid(sample, frame, issued, phase)
+            timeline = schedule_update(issued, sample, frame)
             lo, hi = wait_window(timeline, "optimized")
-            for o in replay_update_frames(timeline, "optimized", rng.uniform(0.0, frame)):
+            for o in replay_update_frames(timeline, "optimized", phase):
                 assert (not o.stamp.valid) == o.mismatched == (lo <= o.capture_time < hi)
                 mismatched += o.mismatched
         assert mismatched >= updates  # the window spans at least one frame period
+
+    def test_distrusted_exactly_when_mismatched(self):
+        self.check_distrusted_exactly_when_mismatched(grid=False)
+
+    def test_distrusted_exactly_when_mismatched_on_the_dyadic_grid(self):
+        # captures land exactly on display instants and poses exactly on
+        # detector switches, where the order of equal timestamps decides
+        self.check_distrusted_exactly_when_mismatched(grid=True)
 
 
 def reference_replay(timeline, scheme, frame_phase):
     """The protocol restated analytically, as a reference for the event-driven
     replay: a frame shows the new marker iff it is captured at or after the
     display instant, its pose is computed with the new parameters iff it comes
-    out strictly after the detector switch, and it is stamped against the one
+    out at or after the detector switch, and it is stamped against the one
     update's window."""
     period = timeline.frame_period
     transport = timeline.sample.video + timeline.sample.pose
@@ -392,7 +424,7 @@ def reference_replay(timeline, scheme, frame_phase):
     while (capture := frame_phase + k * period) <= horizon:
         ready = capture + transport
         displayed = int(capture >= timeline.display_at)
-        believed = int(ready > switch)
+        believed = int(ready >= switch)
         stamp = stamp_validity(displayed, believed, lo <= capture < hi)
         rows.append((capture, ready, displayed, believed, stamp.reason))
         k += 1
@@ -401,6 +433,14 @@ def reference_replay(timeline, scheme, frame_phase):
 
 def dyadic(x, q=2.0**-8):
     return round(x / q) * q
+
+
+def on_dyadic_grid(sample, frame, issued, phase):
+    """The delays, frame period, issue instant and frame phase rounded to
+    multiples of 2^-8 s, so that every sum the protocol forms is exact."""
+    sample = DelaySample(*(dyadic(getattr(sample, f)) for f in (
+        "detector_update", "display", "display_confirm", "video", "pose")))
+    return sample, dyadic(frame), dyadic(issued), dyadic(phase)
 
 
 class TestReplayMatchesAnalyticReference:
@@ -418,9 +458,8 @@ class TestReplayMatchesAnalyticReference:
             issued = rng.uniform(0.0, 2.0)
             frame_phase = rng.uniform(0.0, frame) if phase == "random" else 0.0
             if grid:
-                sample = DelaySample(*(dyadic(getattr(sample, f)) for f in (
-                    "detector_update", "display", "display_confirm", "video", "pose")))
-                frame, issued, frame_phase = dyadic(frame), dyadic(issued), dyadic(frame_phase)
+                sample, frame, issued, frame_phase = on_dyadic_grid(sample, frame, issued,
+                                                                    frame_phase)
             timeline = schedule_update(issued, sample, frame)
             expected = reference_replay(timeline, scheme, frame_phase)
             got = [
