@@ -3,11 +3,14 @@ Safe vs optimized update synchronization
 ========================================
 
 After commanding a new marker, poses cannot be trusted until display and
-detector agree again. The safe rule waits out the worst case,
-max(capture-loop delay, confirmation delay), and throws away every frame in
-between. If the transport from capture to pose (video plus pose delay) is
-constant, the detector update can instead be deferred to just before the
-first new-marker pose, and only one frame is lost. This demo measures both
+detector agree again. The safe rule switches the detector at once and waits
+out the worst case, max(capture-loop delay, confirmation delay), planned for
+the longest transport from capture to pose (video plus pose delay). It
+throws away every frame in between, and the old-marker frames captured just
+before the command whose poses come out after the switch. If the transport
+is constant, the detector update can instead be deferred to just before the
+first new-marker pose, and only one frame is lost. Either way the wait
+window alone decides which poses are distrusted. This demo measures both
 across confirmation jitter.
 """
 
@@ -42,8 +45,8 @@ lo, hi = wait_window(timeline, "safe")
 safe_wait = hi - lo
 lo, hi = wait_window(timeline, "optimized")
 optimized_wait = hi - lo
-print(f"\none sampled update: safe wait {safe_wait * 1000:.0f} ms, "
-      f"optimized wait {optimized_wait * 1000:.0f} ms "
+print(f"\none sampled update: safe window {safe_wait * 1000:.0f} ms, "
+      f"optimized window {optimized_wait * 1000:.0f} ms "
       f"({safe_wait / optimized_wait:.1f}x shorter)\n")
 
 # Sweep many updates with jittered confirmation and random frame phase and

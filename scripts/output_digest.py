@@ -1,7 +1,9 @@
-"""Print one sha256 per group of scenario runs, over every output a run makes.
+"""Print one sha256 per group of scenario runs and kind of output.
 
-Each run is hashed over its ``trace.csv``, ``events.csv``, ``summary.json``
-(as ``markersim run`` writes them) and its validity stamps. The groups:
+The kinds are every output a run makes: ``trace`` and ``events`` (its
+``trace.csv`` and ``events.csv``), ``summary`` (its ``summary.json``, as
+``markersim run`` writes them) and ``stamps`` (its validity stamps). A change
+that moves one kind of output shows which. The groups:
 
 - ``criterion6-<scheme>``: the 50 randomized landing starts of acceptance
   criterion 6 (seed base 2026), under each timing scheme;
@@ -10,7 +12,7 @@ Each run is hashed over its ``trace.csv``, ``events.csv``, ``summary.json``
 - ``<workload>``: inputs 0-4 of each benchmark workload at seed 1, built
   from the overrides in ``perfbench/workloads.py``.
 
-Two checkouts produce the same outputs when their digests match:
+Two checkouts produce the same outputs of a kind when its digests match:
 
     python scripts/output_digest.py > new.txt
     python scripts/output_digest.py /path/to/other/checkout > old.txt
@@ -60,22 +62,28 @@ def groups():
         yield name, [randomized_initial_conditions(config, 1, i) for i in range(5)]
 
 
-def run_bytes(config, out: Path) -> bytes:
+KINDS = ("trace", "events", "summary", "stamps")
+
+
+def run_bytes(config, out: Path) -> tuple[bytes, ...]:
+    """The bytes of each kind of output of one run, in the order of ``KINDS``."""
     trace = run_scenario(config)
     trace_to_csv(trace, out / "trace.csv")
     events_to_csv(trace, out / "events.csv")
     summary = json.dumps(collect_metrics(trace), indent=2, sort_keys=True) + "\n"
-    return b"".join(((out / "trace.csv").read_bytes(), (out / "events.csv").read_bytes(),
-                     summary.encode(), repr(trace.stamps).encode()))
+    return ((out / "trace.csv").read_bytes(), (out / "events.csv").read_bytes(),
+            summary.encode(), repr(trace.stamps).encode())
 
 
 def main():
     with tempfile.TemporaryDirectory() as tmp:
         for name, configs in groups():
-            digest = hashlib.sha256()
+            digests = [hashlib.sha256() for _ in KINDS]
             for config in configs:
-                digest.update(run_bytes(config, Path(tmp)))
-            print(f"{name:20s} {len(configs):3d} runs  {digest.hexdigest()}")
+                for digest, data in zip(digests, run_bytes(config, Path(tmp))):
+                    digest.update(data)
+            for kind, digest in zip(KINDS, digests):
+                print(f"{name:20s} {len(configs):3d} runs  {kind:8s} {digest.hexdigest()}")
 
 
 if __name__ == "__main__":

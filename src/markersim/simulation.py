@@ -322,8 +322,10 @@ class SimTrace:
 
     ``records`` is the row sequence (a ``TraceRows`` for an engine run).
     ``stamps`` is the validity audit: one (capture_time, displayed_config_id,
-    computed_against_id, reason) tuple per successful detection. A window
-    dropout is a capture inside an update's wait window that gave no detection.
+    computed_against_id, reason) tuple per successful detection. A hole is a
+    stamp whose ids differ but whose reason is ``ok``: a corrupted frame no
+    window holds. A window dropout is a capture inside an update's wait window
+    that gave no detection.
     """
 
     records: Sequence
@@ -436,7 +438,7 @@ class _Engine:
             return (f"no-detection:{result.reason}", *_NO_NOTE[1:])
         self.max_detect_dist = max(self.max_detect_dist or 0.0, vector_norm(true_rel.translation))
         shown = displayed_at_capture.config_id
-        stamp = self.protocol.stamp(capture_time, shown, result.computed_against)
+        stamp = self.protocol.stamp(capture_time)
         self.stamp_audit.append((capture_time, shown, result.computed_against, stamp.reason))
         cam = camera_position_in_marker(result)
         note = ("detected", stamp.reason, float(cam[0]), float(cam[1]), float(cam[2]), result.yaw)
@@ -562,6 +564,8 @@ def collect_metrics(trace: SimTrace) -> dict:
         "detection_count": trace.detection_count,
         "dropout_count": trace.dropout_count,
         "invalid_count": trace.invalid_count,
+        "hole_count": sum(shown != computed and reason == "ok"
+                          for _, shown, computed, reason in trace.stamps),
         "window_dropout_count": trace.window_dropout_count,
         "marker_update_count": trace.marker_update_count,
         "family_switch_count": trace.family_switch_count,

@@ -12,18 +12,21 @@ instants,
     confirm_at           display confirmation received back
     pose_ready_at        worst-case first pose computed from the new marker
 
-and pose estimates are stamped valid or stale against a suppression window.
+and an update's wait window alone stamps a pose stale: planned for the
+longest transport the delays allow, it holds every frame the update corrupts.
 
 Two schemes are provided. The safe scheme updates the detector immediately
-and distrusts every capture until max(capture loop, confirm delay) has
-passed, wasting several frames per update. The optimized scheme defers the
-detector update until just before ``pose_ready_at`` and distrusts exactly the
-new-marker frames computed with old parameters: when the switch is not held
-back by a late confirmation, one frame per update, at any frame phase. It
-applies exactly when the transport from capture to pose (``video`` plus
-``pose``) is constant; the other delays may jitter freely. Under transport
-jitter the engine runs the safe scheme instead, and ``summary.json`` reports
-``timing_scheme`` as ``safe``.
+and distrusts every capture around the command until max(capture loop,
+confirm delay) has passed, wasting several frames per update. The optimized
+scheme defers the detector update until just before ``pose_ready_at`` and
+distrusts exactly the new-marker frames computed with old parameters: when
+the switch is not held back by a late confirmation, one frame per update, at
+any frame phase. It applies exactly when the transport from capture to pose
+(``video`` plus ``pose``) is constant; the other delays may jitter freely.
+Under transport jitter the engine runs the safe scheme instead, and
+``summary.json`` reports ``timing_scheme`` as ``safe``. The engine audits
+each stamp against the marker the screen showed, which a real detector
+cannot know: ``hole_count``, the corrupted frames no window holds, reads 0.
 
 ``EventQueue`` holds the order of events at equal timestamps, one table
 that puts the detector update before a pose coming out at its instant;
@@ -68,6 +71,10 @@ class DelaySpec:
     def uniform(cls, low: float, high: float) -> "DelaySpec":
         return cls(low, high)
 
+    @property
+    def upper(self) -> float:
+        return self.low if self.high is None else self.high
+
     def sample(self, rng: np.random.Generator) -> float:
         if self.high is None:
             return self.low
@@ -91,18 +98,20 @@ class DelayModel:
     pose: DelaySpec
 
     def sample(self, rng: np.random.Generator) -> "DelaySample":
-        """Draw one update's delays, in a fixed order for reproducibility."""
+        """Draw one update's delays, in a fixed order for reproducibility. The
+        update plans for the longest transport, ``video.upper`` and
+        ``pose.upper``, and draws none: each frame draws its own."""
         detector_update = self.detector_update.sample(rng)
         display = self.display.sample(rng)
         display_confirm = max(self.display_confirm.sample(rng), display)
-        video = self.video.sample(rng)
-        pose = self.pose.sample(rng)
-        return DelaySample(detector_update, display, display_confirm, video, pose)
+        return DelaySample(detector_update, display, display_confirm,
+                           self.video.upper, self.pose.upper)
 
 
 @dataclass(frozen=True)
 class DelaySample:
-    """Concrete delays drawn for a single marker update."""
+    """Concrete delays for a single marker update: ``video`` and ``pose`` are
+    the longest transport the update plans for."""
 
     detector_update: float
     display: float
@@ -139,7 +148,7 @@ class UpdateTimeline:
 class ValidityStamp:
     """Whether a pose estimate may be trusted, and why not."""
 
-    reason: str  # ok | within_wait_window | config_mismatch
+    reason: str  # ok | within_wait_window
 
     @property
     def valid(self) -> bool:
@@ -156,10 +165,10 @@ def evaluate_optimized_conditions(model: DelayModel) -> bool:
     phase and under any jitter of the other delays. An old-marker capture
     comes out before ``display_at + tau``, ahead of the switch, which is no
     earlier than ``pose_ready_at = display_at + frame_period + tau``. If the
-    transport jitters, a frame can draw a shorter one than the update's
-    sample; at some phase it is grabbed in ``[switch - tau_update,
-    switch - tau_frame)``, after the window, with its pose from the old
-    parameters.
+    transport jitters, a frame can draw one shorter than the longest
+    transport, which the update plans for; at some phase it is grabbed in
+    ``[switch - tau_max, switch - tau_frame)``, after the window, with its
+    pose from the old parameters.
     """
     return model.video.high is None and model.pose.high is None
 
@@ -197,8 +206,13 @@ def detector_switch_time(timeline: UpdateTimeline, scheme: str) -> float:
 def wait_window(timeline: UpdateTimeline, scheme: str) -> tuple[float, float]:
     """Half-open capture-time interval whose estimates are distrusted.
 
-    Safe: every capture from the command until the capture loop and the
-    display confirmation have both elapsed.
+    Safe: from ``min(issued_at, switch - tau_max)`` to ``max(issued_at + wait,
+    switch)``, with ``switch`` the early detector confirmation, ``tau_max =
+    video + pose`` and ``wait`` the longer of the capture loop and the display
+    confirmation. A capture before it shows the old marker and its pose comes
+    out before the switch; one from its end on shows the new marker (``wait
+    >= display_confirm >= display``) and its pose comes out after the switch.
+    A pose out at the switch instant gets the new parameters (``EventQueue``).
     Optimized: every capture from the display instant (the first that can
     show the new marker) until the deferred switch, translated from
     pose-ready time to capture time by the transport and computation delay:
@@ -208,40 +222,27 @@ def wait_window(timeline: UpdateTimeline, scheme: str) -> tuple[float, float]:
     detector update comes first, ``EventQueue``), so both stay valid.
     """
     if scheme == "safe":
-        sample = timeline.sample
+        sample, switch = timeline.sample, timeline.detector_confirm_at
         capture_loop = sample.display + (timeline.frame_period + sample.video + sample.pose)
         wait = max(capture_loop, sample.display_confirm)
-        return (timeline.issued_at, timeline.issued_at + wait)
+        return (min(timeline.issued_at, switch - (sample.video + sample.pose)),
+                max(timeline.issued_at + wait, switch))
     if scheme == "optimized":
         transport = timeline.sample.video + timeline.sample.pose
         return (timeline.display_at, detector_switch_time(timeline, scheme) - transport)
     raise ValueError(f"unknown timing scheme '{scheme}'")
 
 
-def stamp_validity(frame_config_id: int, detector_config_id: int,
-                   in_window: bool) -> ValidityStamp:
-    """Stamp one estimate.
-
-    A disagreement between the configuration displayed at capture and the one
-    the pose was computed against is always a mismatch. Otherwise the capture
-    is distrusted when it falls inside an update's wait window.
-    """
-    if frame_config_id != detector_config_id:
-        return ValidityStamp("config_mismatch")
-    if in_window:
-        return ValidityStamp("within_wait_window")
-    return ValidityStamp("ok")
+def stamp_validity(in_window: bool) -> ValidityStamp:
+    """Stamp one estimate: distrusted exactly when its capture falls inside
+    an update's wait window."""
+    return ValidityStamp("within_wait_window" if in_window else "ok")
 
 
 def update_complete_time(timeline: UpdateTimeline, scheme: str) -> float:
-    """Instant after which the next queued marker update may start."""
-    if scheme == "safe":
-        # the window end, issued_at + max(capture_loop, display_confirm), is at
-        # or after confirm_at = issued_at + display_confirm, in floats too
-        return max(wait_window(timeline, scheme)[1], timeline.detector_confirm_at)
-    if scheme == "optimized":
-        return detector_switch_time(timeline, scheme)
-    raise ValueError(f"unknown timing scheme '{scheme}'")
+    """Instant after which the next queued marker update may start: once its
+    window has closed and the detector has switched, at or after ``confirm_at``."""
+    return max(wait_window(timeline, scheme)[1], detector_switch_time(timeline, scheme))
 
 
 # Event order at equal timestamps: a frame grabbed at the display instant
@@ -279,13 +280,12 @@ class UpdateProtocol:
 
     Updates run one at a time: a proposal made while one is in flight waits,
     and only the latest waiting one survives. ``window_of`` bisects over the
-    starts of every update's wait window. That is exact for any number of
-    updates, as the windows are disjoint and in time order, in floats too: an
-    update is issued no earlier than the previous one's
-    ``update_complete_time``, which is at or after that one's window end (a
-    ``max`` over it under the safe scheme; the optimized window ends at
-    ``switch - transport``, the completion at the switch), and a window opens
-    no earlier than its update is issued (at ``issued_at`` or ``display_at``).
+    starts of every update's wait window. That is exact, as both the starts
+    and the ends rise in time order, in floats too: an update is issued no
+    earlier than the previous one's ``update_complete_time``, the ``max`` of
+    its window end and switch, and every update of a run plans for the same
+    ``tau_max`` (``wait_window``). Safe windows may overlap, and then the
+    last to open by a capture also ends last: outside it, outside all.
     """
 
     def __init__(self, scheme: str):
@@ -326,11 +326,9 @@ class UpdateProtocol:
             return self._windows[i][2]
         return None
 
-    def stamp(self, capture_time: float, displayed_id: int, computed_against: int) -> ValidityStamp:
-        """Stamp an estimate: ``window_of`` alone decides whether its capture
-        falls in a wait window."""
-        return stamp_validity(displayed_id, computed_against,
-                              self.window_of(capture_time) is not None)
+    def stamp(self, capture_time: float) -> ValidityStamp:
+        """Stamp an estimate by whether ``window_of`` finds its capture."""
+        return stamp_validity(self.window_of(capture_time) is not None)
 
 
 @dataclass(frozen=True)
@@ -366,11 +364,7 @@ def replay_update_frames(
     protocol.issue(timeline, 1, queue)
     period = timeline.frame_period
     transport = timeline.sample.video + timeline.sample.pose
-    horizon = max(
-        wait_window(timeline, scheme)[1],
-        detector_switch_time(timeline, scheme) - transport,
-        timeline.pose_ready_at,
-    ) + 2 * period
+    horizon = max(wait_window(timeline, scheme)[1], timeline.pose_ready_at) + 2 * period
     start = timeline.issued_at - (period + timeline.sample.video + timeline.sample.pose) - period
     k = int(np.ceil((start - frame_phase) / period))
     while (capture := frame_phase + k * period) <= horizon:
@@ -385,7 +379,7 @@ def replay_update_frames(
             queue.push(time + transport, "pose-ready", (time, displayed))
         elif kind == "pose-ready":
             capture, shown = payload
-            stamp = protocol.stamp(capture, shown, believed)
+            stamp = protocol.stamp(capture)
             outcomes.append(FrameOutcome(capture, time, shown, believed, stamp))
         elif kind == "display":
             displayed = payload
