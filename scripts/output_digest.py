@@ -9,6 +9,16 @@ that moves one kind of output shows which. The groups:
   criterion 6 (seed base 2026), under each timing scheme;
 - ``jittered``: 10 of those starts with a jittered transport (video
   U(0, 30) ms, pose U(0, 20) ms), which fall back to the safe scheme;
+- ``static-full-pose``: 10 starts (seed base 2026) 0.8 m over the marker
+  with the full-pose family shown throughout and a 0.6 m goal, so yaw is
+  servoed from the first frame;
+- ``near-pi``: the nominal landing from headings within 1e-7 and 1e-3 of
+  pi and at 3 rad, with no yaw noise, so the first full-pose estimates put
+  the rotation error within 1e-6 of pi;
+- ``static-long-range``: 10 starts with the long-range family throughout,
+  whose estimates carry no yaw;
+- ``landing-trigger``: 10 starts whose descent is started at 4 s by the
+  landing trigger rather than by the error threshold;
 - ``<workload>``: inputs 0-4 of each benchmark workload at seed 1, built
   from the overrides in ``perfbench/workloads.py``.
 
@@ -27,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import sys
 import tempfile
 from dataclasses import replace
@@ -36,6 +47,7 @@ checkout = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().p
 sys.path[:0] = [str(checkout / "src"), str(checkout)]
 
 # imported after the path is set, from the checkout named above
+from markersim.marker import MarkerFamily  # noqa: E402
 from markersim.scenario import (  # noqa: E402
     nominal_landing_scenario, randomized_initial_conditions, scenario_from_dict)
 from markersim.simulation import (  # noqa: E402
@@ -55,6 +67,19 @@ def groups():
                      pose=DelaySpec.uniform(0.0, 0.020))
     jittered = replace(nominal, delays=delays)
     yield "jittered", [randomized_initial_conditions(jittered, 2026, i) for i in range(10)]
+    full_pose = replace(nominal, strategy="static-full-pose", initial_position=(0.0, 0.0, 0.8),
+                        desired_height=0.6)
+    yield "static-full-pose", [randomized_initial_conditions(full_pose, 2026, i)
+                               for i in range(10)]
+    exact_yaw = replace(nominal,
+                        full_pose_family=MarkerFamily.full_pose_default(yaw_sigma_at_1m=0.0))
+    yield "near-pi", [replace(exact_yaw, initial_yaw=yaw)
+                      for yaw in (math.pi - 1e-7, -math.pi + 1e-7, math.pi - 1e-3, 3.0)]
+    long_range = replace(nominal, strategy="static-long-range")
+    yield "static-long-range", [randomized_initial_conditions(long_range, 2026, i)
+                                for i in range(10)]
+    trigger = replace(nominal, landing_trigger_time=4.0, landing_error_threshold=None)
+    yield "landing-trigger", [randomized_initial_conditions(trigger, 2026, i) for i in range(10)]
     base = json.loads(workloads.LANDING.read_text(encoding="utf-8"))
     extra = {"board-heavy": workloads.BOARD_HEAVY, "trace-hover": workloads.TRACE_HOVER}
     for name in workloads.WORKLOADS:
