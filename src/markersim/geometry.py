@@ -70,9 +70,9 @@ def check_rotation(r: np.ndarray, tol: float = ORTHONORMAL_TOL) -> np.ndarray:
     return r
 
 
-def check_translation(t: np.ndarray) -> np.ndarray:
-    """Return the float 3-vector ``t``, raising if a component is not finite."""
-    if not all(map(math.isfinite, t.tolist())):
+def check_translation(t):
+    """Return the float 3-vector ``t`` (array or tuple), raising if a component is not finite."""
+    if not all(map(math.isfinite, t if type(t) is tuple else t.tolist())):
         raise ValueError("translation has non-finite components")
     return t
 
@@ -154,15 +154,6 @@ class AngleAxis:
         object.__setattr__(self, "axis", axis)
         object.__setattr__(self, "angle", angle)
 
-    @classmethod
-    def from_vector(cls, vec: np.ndarray) -> "AngleAxis":
-        """Build from a rotation vector (axis scaled by angle)."""
-        vec = np.asarray(vec, dtype=float).reshape(3)
-        angle = vector_norm(vec)
-        if angle <= _ZERO_ANGLE_EPS:
-            return cls(np.array([0.0, 0.0, 1.0]), 0.0)
-        return cls(vec / angle, angle)
-
     def as_vector(self) -> np.ndarray:
         return self.axis * self.angle
 
@@ -181,15 +172,18 @@ def angle_axis_to_rotation(aa: AngleAxis) -> np.ndarray:
 
 def rotation_to_angle_axis(r: np.ndarray) -> AngleAxis:
     """Angle-axis extraction with a dedicated branch for angles near pi."""
-    return _angle_axis(check_rotation(r))
+    axis, angle = _axis_angle(check_rotation(r))
+    return AngleAxis(np.array(axis), angle)
 
 
-def _angle_axis(r: np.ndarray) -> AngleAxis:
-    """``rotation_to_angle_axis`` of a float rotation already checked."""
-    cos_angle = min(1.0, max(-1.0, (np.trace(r) - 1.0) / 2.0))
-    angle = math.acos(cos_angle)
+def _axis_angle(r: np.ndarray) -> tuple[list, float]:
+    """``rotation_to_angle_axis`` of a checked float rotation, as the axis's
+    three floats and the angle. The norm is numpy's ``dot``, which rounds
+    differently from a written-out sum; the rest is elementwise."""
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
+    angle = math.acos(min(1.0, max(-1.0, (r00 + r11 + r22 - 1.0) / 2.0)))
     if angle <= _ZERO_ANGLE_EPS:
-        return AngleAxis(np.array([0.0, 0.0, 1.0]), 0.0)
+        return [0.0, 0.0, 1.0], 0.0
     if math.pi - angle < _PI_ANGLE_EPS:
         # Near pi the skew part vanishes; recover the axis from (R + I)/2,
         # whose diagonal is axis_i^2 and whose rows fix the relative signs.
@@ -202,11 +196,13 @@ def _angle_axis(r: np.ndarray) -> AngleAxis:
                 if component < 0.0:
                     axis = -axis
                 break
-        return AngleAxis(axis, angle)
-    axis = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    axis = axis / (2.0 * math.sin(angle))
-    axis = axis / vector_norm(axis)
-    return AngleAxis(axis, angle)
+        return axis.tolist(), angle
+    s = 2.0 * math.sin(angle)
+    axis = [(r21 - r12) / s, (r02 - r20) / s, (r10 - r01) / s]
+    n = vector_norm(np.array(axis))
+    if n == 0.0:  # a symmetric matrix away from pi is the identity; the angle was rounding
+        return [0.0, 0.0, 1.0], 0.0
+    return [a / n for a in axis], angle
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,11 @@ which drives both error components to zero exponentially at rate ``gain``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AngleAxis, Pose, _angle_axis, compose, invert, vector_norm
+from .geometry import _ZERO_ANGLE_EPS, AngleAxis, Pose, _axis_angle, compose, invert, vector_norm
 from .perception import PoseEstimate
 
 
@@ -37,31 +37,67 @@ class FeatureVector:
 
     def magnitude(self) -> float:
         """Norm of the stacked 6-vector (translation, rotation vector)."""
-        return float(
-            math.sqrt(float(self.translation @ self.translation) + self.rotation.angle**2)
-        )
+        return math.sqrt(float(self.translation @ self.translation) + self.rotation.angle**2)
 
 
-@dataclass(frozen=True)
+def _read_only(values) -> np.ndarray:
+    array = np.array(values)
+    array.setflags(write=False)
+    return array
+
+
 class VelocityCommand:
-    """Camera-frame twist: linear m/s, angular rad/s. The arrays are read-only
-    copies, so ``is_finite``, decided at construction, stays true of them."""
+    """Camera-frame twist: linear m/s, angular rad/s, held as ``twist``, its six
+    floats. ``linear`` and ``angular`` are read-only arrays made from them, so
+    ``is_finite``, decided at construction, stays true of them."""
 
-    linear: np.ndarray
-    angular: np.ndarray
-    is_finite: bool = field(init=False)
+    __slots__ = ("twist", "is_finite")
 
-    def __post_init__(self):
-        for name in ("linear", "angular"):
-            v = np.array(getattr(self, name), dtype=float).reshape(3)
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-        finite = all(map(math.isfinite, self.linear.tolist() + self.angular.tolist()))
-        object.__setattr__(self, "is_finite", finite)
+    def __init__(self, linear, angular):
+        self.twist = (*np.array(linear, dtype=float).reshape(3).tolist(),
+                      *np.array(angular, dtype=float).reshape(3).tolist())
+        self.is_finite = all(map(math.isfinite, self.twist))
 
     @classmethod
     def zero(cls) -> "VelocityCommand":
         return cls(np.zeros(3), np.zeros(3))
+
+    linear = property(lambda self: _read_only(self.twist[:3]))
+    angular = property(lambda self: _read_only(self.twist[3:]))
+
+
+def _rotation_error(rotation: np.ndarray, yaw: float | None) -> tuple[list, float]:
+    """Axis (three floats) and angle of ``rotation``, under ``error_and_rotation``'s yaw rule."""
+    axis, angle = _axis_angle(rotation)
+    if yaw is not None or angle == 0.0:
+        return axis, angle
+    vec = [axis[0] * angle, axis[1] * angle, 0.0]
+    angle = vector_norm(np.array(vec))
+    if angle <= _ZERO_ANGLE_EPS:
+        return [0.0, 0.0, 1.0], 0.0
+    return [v / angle for v in vec], angle
+
+
+def _law(rotation: np.ndarray, translation: np.ndarray, axis, angle: float, gain: float):
+    """The decoupled law as float lists; the product is numpy's, as sums round differently."""
+    return ([-gain * v for v in (rotation.T @ translation).tolist()],
+            [-gain * (a * angle) for a in axis])
+
+
+def _clamped(v, limit: float):
+    """The floats ``v`` scaled down to norm ``limit`` when longer, else ``v``."""
+    n = vector_norm(np.array(v)) if any(v) else 0.0
+    return [x * (limit / n) for x in v] if limit > 0 and n > limit else v
+
+
+def servo_step(estimate: PoseEstimate, desired: Pose, gain: float, max_linear: float,
+               max_angular: float) -> tuple[list, list, list]:
+    """The camera position in the marker frame, and the linear and angular velocity of
+    ``clamp_command(control_law(*error_and_rotation(...), gain), ...)``, as float lists."""
+    camera = invert(estimate.relative_pose)
+    rel = compose(desired, camera)
+    v, w = _law(rel.rotation, rel.translation, *_rotation_error(rel.rotation, estimate.yaw), gain)
+    return camera.translation.tolist(), _clamped(v, max_linear), _clamped(w, max_angular)
 
 
 def error_and_rotation(estimate: PoseEstimate, desired: Pose) -> tuple[FeatureVector, np.ndarray]:
@@ -73,12 +109,8 @@ def error_and_rotation(estimate: PoseEstimate, desired: Pose) -> tuple[FeatureVe
     as soon as a full-pose estimate arrives.
     """
     rel = compose(desired, invert(estimate.relative_pose))
-    theta_u = _angle_axis(rel.rotation)
-    if estimate.yaw is None:
-        vec = theta_u.as_vector()
-        vec[2] = 0.0
-        theta_u = AngleAxis.from_vector(vec)
-    return FeatureVector(rel.translation, theta_u), rel.rotation
+    axis, angle = _rotation_error(rel.rotation, estimate.yaw)
+    return FeatureVector(rel.translation, AngleAxis(np.array(axis), angle)), rel.rotation
 
 
 def compute_error(estimate: PoseEstimate, desired: Pose) -> FeatureVector:
@@ -93,26 +125,16 @@ def control_law(
     """Decoupled proportional velocity command from the feature error."""
     if gain <= 0:
         raise ValueError(f"gain must be > 0, got {gain}")
-    v = -gain * (np.asarray(rotation_to_desired, dtype=float).T @ error.translation)
-    w = -gain * error.rotation.as_vector()
-    return VelocityCommand(v, w)
+    return VelocityCommand(*_law(np.asarray(rotation_to_desired, dtype=float), error.translation,
+                                 error.rotation.axis.tolist(), error.rotation.angle, gain))
 
 
 def clamp_command(
     cmd: VelocityCommand, max_linear: float, max_angular: float
 ) -> VelocityCommand:
     """Scale the twist down to the configured speed limits, keeping direction."""
-    linear = cmd.linear
-    angular = cmd.angular
-    ln = vector_norm(linear)
-    if max_linear > 0 and ln > max_linear:
-        linear = linear * (max_linear / ln)
-    an = vector_norm(angular)
-    if max_angular > 0 and an > max_angular:
-        angular = angular * (max_angular / an)
-    if linear is cmd.linear and angular is cmd.angular:
-        return cmd
-    return VelocityCommand(linear, angular)
+    linear, angular = _clamped(cmd.twist[:3], max_linear), _clamped(cmd.twist[3:], max_angular)
+    return cmd if (*linear, *angular) == cmd.twist else VelocityCommand(linear, angular)
 
 
 def with_descent(cmd: VelocityCommand, descent_rate: float) -> VelocityCommand:
@@ -121,6 +143,5 @@ def with_descent(cmd: VelocityCommand, descent_rate: float) -> VelocityCommand:
     The camera z axis points at the marker, so a positive rate descends;
     lateral position and yaw stay under the servo law.
     """
-    linear = cmd.linear.copy()
-    linear[2] = descent_rate
-    return VelocityCommand(linear, cmd.angular)
+    vx, vy, _, *angular = cmd.twist
+    return VelocityCommand((vx, vy, descent_rate), angular)

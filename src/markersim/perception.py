@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, Pose, check_translation, invert, rot_z, vector_norm
+from .geometry import CameraIntrinsics, Pose, check_translation, rot_z, vector_norm
 from .marker import MarkerConfig
 
 
@@ -199,8 +199,3 @@ def simulate_detection(
         capture_time=capture_time,
         position_sigma=sigma,
     )
-
-
-def camera_position_in_marker(estimate: PoseEstimate) -> np.ndarray:
-    """Camera origin expressed in the marker frame, per the estimate."""
-    return invert(estimate.relative_pose).translation

@@ -28,8 +28,8 @@ import numpy as np
 from .geometry import Pose, check_translation, invert, rot_x, rot_z, vector_norm
 from .marker import FamilyKind, MarkerConfig
 from .marker_control import apply_update, bootstrap_config, select_marker
-from .pbvs import VelocityCommand, clamp_command, control_law, error_and_rotation, with_descent
-from .perception import DetectorParams, NoDetection, camera_position_in_marker, simulate_detection
+from .pbvs import VelocityCommand, servo_step, with_descent
+from .perception import DetectorParams, NoDetection, simulate_detection
 from .scenario import ScenarioConfig
 from .timing import EventQueue, UpdateProtocol, evaluate_optimized_conditions, schedule_update
 
@@ -65,12 +65,29 @@ def _vehicle_yaw(pose: Pose) -> float:
     return math.atan2(r[1, 0], r[0, 0])
 
 
-@dataclass(frozen=True)
 class VehicleState:
-    """Kinematic body (camera) pose in the marker/world frame plus sim time."""
+    """Kinematic body (camera) pose in the marker/world frame plus sim time,
+    held as ``r``, the rotation's nine entries row by row, ``t``, the
+    translation, and ``frames``; ``pose`` builds the ``Pose`` on each access."""
 
-    pose: Pose
-    time: float
+    __slots__ = ("r", "t", "frames", "time")
+
+    def __init__(self, pose: Pose, time: float):
+        self.r, self.t = tuple(pose.rotation.ravel().tolist()), tuple(pose.translation.tolist())
+        self.frames, self.time = (pose.from_frame, pose.to_frame), time
+
+    @classmethod
+    def _of(cls, r, t, frames, time) -> "VehicleState":
+        state = object.__new__(cls)
+        state.r, state.t, state.frames, state.time = r, t, frames, time
+        return state
+
+    def _at(self, time: float) -> "VehicleState":
+        return VehicleState._of(self.r, self.t, self.frames, time)
+
+    @property
+    def pose(self) -> Pose:
+        return Pose._unchecked(np.array(self.r).reshape(3, 3), np.array(self.t), *self.frames)
 
 
 def _se3_exp(r, t, p, w, coefficients):
@@ -146,21 +163,19 @@ def _coefficient_columns(th2: np.ndarray):
 
 def vehicle_step(state: VehicleState, cmd: VelocityCommand, dt: float) -> VehicleState:
     """Move the body for ``dt`` under the constant body-frame twist ``cmd``:
-    exactly ``pose · exp(dt·ξ)`` (``_se3_exp``). Zero ``w`` keeps the rotation,
-    and a zero twist the pose."""
+    exactly ``pose · exp(dt·ξ)`` (``_se3_exp``), on the state's and the
+    command's floats. Zero ``w`` keeps the rotation, and a zero twist the pose."""
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
     if not cmd.is_finite:
         raise ValueError("velocity command has non-finite components")
-    pose = state.pose
-    p, w = (cmd.linear * dt).tolist(), (cmd.angular * dt).tolist()
+    vx, vy, vz, wx, wy, wz = cmd.twist
+    p, w = (vx * dt, vy * dt, vz * dt), (wx * dt, wy * dt, wz * dt)
     if not any(p + w):
-        return VehicleState(pose, state.time + dt)
-    th2, r, t = _se3_exp(pose.rotation.ravel().tolist(), pose.translation.tolist(), p, w,
-                         _coefficients)
-    rotation = np.array(r).reshape(3, 3) if th2 else pose.rotation
-    pose = Pose._unchecked(rotation, check_translation(np.array(t)), pose.from_frame, pose.to_frame)
-    return VehicleState(pose, state.time + dt)
+        return state._at(state.time + dt)
+    th2, r, t = _se3_exp(state.r, state.t, p, w, _coefficients)
+    return VehicleState._of(r if th2 else state.r, check_translation(t), state.frames,
+                            state.time + dt)
 
 
 class TickRecord(NamedTuple):
@@ -219,8 +234,8 @@ _NO_NOTE = ("", "", None, None, None, None)
 
 def _cells(e: _Entry, note: tuple) -> tuple:
     """A row's cells past ``distance``: its note, then its entry's."""
-    lin, ang = e.cmd.linear.tolist(), e.cmd.angular.tolist()
-    return (*note, *e.shown, e.believed, *lin, ang[2], int(e.landing))
+    vx, vy, vz, _, _, wz = e.cmd.twist
+    return (*note, *e.shown, e.believed, vx, vy, vz, wz, int(e.landing))
 
 
 def _shown_cells(config: MarkerConfig) -> tuple:
@@ -303,8 +318,7 @@ def _sampled_columns(log: list[_Entry], j: np.ndarray, dt: np.ndarray):
     """x, y, z and yaw of ``log[j]`` moved for ``dt`` under its twist, as
     ``vehicle_step`` moves it, evaluated on numpy columns."""
     first = int(j.min())
-    motion = np.array([(*e.state.pose.rotation.ravel().tolist(), *e.state.pose.translation.tolist(),
-                        *e.cmd.linear.tolist(), *e.cmd.angular.tolist())
+    motion = np.array([(*e.state.r, *e.state.t, *e.cmd.twist)
                        for e in log[first:int(j.max()) + 1]]).T[:, j - first]
     r, xyz = motion[:9], motion[9:12]
     p, w = motion[12:15] * dt, motion[15:18] * dt
@@ -385,10 +399,10 @@ class _Engine:
 
     # -- motion, termination and the log ---------------------------------
 
-    def _outcome(self, pose: Pose) -> str | None:
+    def _outcome(self, state: VehicleState) -> str | None:
         # Leaving the bounds is checked first. At the exact crossing a landing
         # descent is down before it reaches the ground bound, at any speed.
-        x, y, z = pose.translation
+        x, y, z = state.t
         if math.hypot(x, y) > self.cfg.bounds_radius or not -0.05 <= z <= self.cfg.bounds_height:
             return "diverged"
         if self.landing and z <= self.cfg.touchdown_height:
@@ -398,22 +412,23 @@ class _Engine:
     def _move_to(self, time: float) -> bool:
         """Move the vehicle to ``time`` under the held twist, or to the first
         instant on the way where it is down or out of bounds; return whether
-        the run ended there."""
+        the run ended there. A state is stamped with its instant itself, which
+        ``start.time + dt`` can miss by an ulp."""
         start = self.state
         if time != start.time:
-            self.state = VehicleState(vehicle_step(start, self.cmd, time - start.time).pose, time)
-        if self._outcome(self.state.pose) is None:
+            self.state = vehicle_step(start, self.cmd, time - start.time)._at(time)
+        if self._outcome(self.state) is None:
             return False
         lo, hi = start.time, time
-        if self._outcome(start.pose) is not None:
+        if self._outcome(start) is not None:
             self.state, hi = start, lo
         while lo < (mid := 0.5 * (lo + hi)) < hi:  # lo is short of the end, hi at or past it
-            probe = VehicleState(vehicle_step(start, self.cmd, mid - start.time).pose, mid)
-            if self._outcome(probe.pose) is None:
+            probe = vehicle_step(start, self.cmd, mid - start.time)._at(mid)
+            if self._outcome(probe) is None:
                 lo = mid
             else:
                 hi, self.state = mid, probe
-        self.status = self._outcome(self.state.pose)
+        self.status = self._outcome(self.state)
         return True
 
     def _log_entry(self, note: tuple | None = None):
@@ -440,28 +455,26 @@ class _Engine:
         shown = displayed_at_capture.config_id
         stamp = self.protocol.stamp(capture_time)
         self.stamp_audit.append((capture_time, shown, result.computed_against, stamp.reason))
-        cam = camera_position_in_marker(result)
-        note = ("detected", stamp.reason, float(cam[0]), float(cam[1]), float(cam[2]), result.yaw)
         if not stamp.valid:
-            return note
+            cam = invert(result.relative_pose).translation.tolist()
+            return ("detected", stamp.reason, *cam, result.yaw)
 
-        error, rotation = error_and_rotation(result, self.desired)
-        cmd = clamp_command(control_law(error, self.cfg.gain, rotation),
-                            self.cfg.max_linear_speed, self.cfg.max_angular_speed)
+        cfg = self.cfg
+        cam, linear, angular = servo_step(result, self.desired, cfg.gain, cfg.max_linear_speed,
+                                          cfg.max_angular_speed)
         if (
             not self.landing
-            and self.cfg.landing_error_threshold is not None
-            and math.hypot(cam[0], cam[1]) < self.cfg.landing_error_threshold
+            and cfg.landing_error_threshold is not None
+            and math.hypot(cam[0], cam[1]) < cfg.landing_error_threshold
             # only arm once the vehicle is tracking near the desired height
-            and abs(cam[2] - self.cfg.desired_height) < 2.0 * self.cfg.landing_error_threshold
+            and abs(cam[2] - cfg.desired_height) < 2.0 * cfg.landing_error_threshold
         ):
             self.landing = True
         if self.landing:
-            cmd = with_descent(cmd, self.cfg.descent_rate)
-        self.cmd = cmd
+            linear[2] = cfg.descent_rate  # with_descent's override
+        self.cmd = VelocityCommand(linear, angular)
 
-        if self.cfg.strategy == "dynamic":
-            cfg = self.cfg
+        if cfg.strategy == "dynamic":
             proposal = select_marker(
                 result, cfg.policy, cfg.intrinsics, cfg.screen, self.commanded,
                 cfg.long_range_family, cfg.full_pose_family, size_variant=cfg.size_rule,
@@ -469,7 +482,7 @@ class _Engine:
             )
             if proposal is not None and self.protocol.propose(proposal):
                 self._start_update(proposal, now)
-        return note
+        return ("detected", stamp.reason, *cam, result.yaw)
 
     def _start_update(self, marker: MarkerConfig, now: float):
         sample = self.cfg.delays.sample(self.rng)
@@ -519,14 +532,14 @@ class _Engine:
             self._log_entry(note)
         self._log_entry()  # the end row's state
 
-        t = self.state.pose.translation
+        x, y, z = self.state.t
         return SimTrace(
             records=TraceRows(self.log, cfg.tick_step),
             events=self.events,
             stamps=self.stamp_audit,
             status=self.status,
             touchdown_time=self.state.time if self.status == "landed" else None,
-            final_state=(float(t[0]), float(t[1]), float(t[2]), _vehicle_yaw(self.state.pose)),
+            final_state=(x, y, z, _vehicle_yaw(self.state.pose)),
             initial_yaw=self.initial_yaw,
             detection_count=len(self.stamp_audit),
             dropout_count=self.dropouts,

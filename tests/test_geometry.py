@@ -156,6 +156,15 @@ class TestAngleAxis:
         assert aa.angle == pytest.approx(math.pi, abs=1e-7)
         np.testing.assert_allclose(aa.axis, axis, atol=1e-7)
 
+    def test_symmetric_matrix_off_the_identity_by_rounding_is_zero_angle(self):
+        # The trace misses 3 by an ulp, so acos reads 2.1e-8 rad, but the skew
+        # part that gives the axis is exactly zero: the rotation is the identity.
+        r = np.eye(3)
+        r[2, 2] = 1.0 - 2.0**-51
+        aa = rotation_to_angle_axis(r)
+        assert aa.angle == 0.0
+        np.testing.assert_array_equal(aa.axis, [0.0, 0.0, 1.0])
+
     def test_non_orthonormal_input_rejected(self):
         with pytest.raises(ValueError):
             rotation_to_angle_axis(np.eye(3) + 1e-3)

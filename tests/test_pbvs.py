@@ -3,7 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from markersim.geometry import AngleAxis, Pose, invert, rot_x, rot_z
+from markersim.geometry import (
+    AngleAxis,
+    Pose,
+    _axis_angle,
+    angle_axis_to_rotation,
+    invert,
+    rot_x,
+    rot_z,
+    vector_norm,
+)
 from markersim.pbvs import (
     FeatureVector,
     VelocityCommand,
@@ -11,6 +20,7 @@ from markersim.pbvs import (
     compute_error,
     control_law,
     error_and_rotation,
+    servo_step,
     with_descent,
 )
 from markersim.perception import PoseEstimate
@@ -177,6 +187,62 @@ class TestVelocityCommand:
     def test_non_finite_component_decided_at_construction(self, value):
         assert not VelocityCommand(np.zeros(3), np.array([0.0, value, 0.0])).is_finite
         assert not VelocityCommand(np.array([value, 0.0, 0.0]), np.zeros(3)).is_finite
+
+
+def bits(*values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+def random_servo_cases(rng, n):
+    """(estimate, desired, gain, rotation-error angle asked for) over both
+    families, error angles at and near 0, near pi and between, and gains and
+    offsets that put the command past either speed clamp or both."""
+    angles = (0.0, 1e-12, 1e-9, math.pi - 5e-7, math.pi - 1e-9, math.pi, None)
+    for k in range(n):
+        desired = desired_pose(rng.uniform(0.3, 3.0), rng.uniform(-math.pi, math.pi))
+        angle = angles[k % len(angles)]
+        axis = rng.normal(size=3)
+        error = angle_axis_to_rotation(AngleAxis(
+            axis / np.linalg.norm(axis), rng.uniform(0.0, math.pi) if angle is None else angle))
+        # the estimate whose rotation error from the goal is ``error``
+        rotation = error.T @ desired.rotation
+        translation = rng.normal(size=3) * rng.choice([0.01, 0.3, 3.0])
+        yaw = None if (k // len(angles)) % 2 else 0.0
+        estimate = PoseEstimate(Pose(rotation, translation, "marker", "camera"), yaw, 0, 0.0, 0.0)
+        yield estimate, desired, rng.uniform(0.2, 3.0)
+
+
+class TestServoStep:
+    def test_bits_of_the_api_chain(self):
+        """The engine's servo step (``servo_step``, then the descent override
+        and one VelocityCommand) has the bits of the API chain."""
+        seen = set()
+        rng = np.random.default_rng(19)
+        for estimate, desired, gain in random_servo_cases(rng, 700):
+            max_linear, max_angular = rng.choice([0.5, 1.0]), rng.choice([0.5, 1.0])
+            descent = rng.choice([None, 0.3])
+            cam, linear, angular = servo_step(estimate, desired, gain, max_linear, max_angular)
+            error, rotation = error_and_rotation(estimate, desired)
+            raw = control_law(error, gain, rotation)
+            reference = clamp_command(raw, max_linear, max_angular)
+            if descent is not None:
+                linear[2] = descent
+                reference = with_descent(reference, descent)
+            cmd = VelocityCommand(linear, angular)
+            assert bits(*cam) == invert(estimate.relative_pose).translation.tobytes()
+            assert bits(*cmd.twist) == bits(*reference.linear, *reference.angular)
+            # the law itself is numpy's product and scaling
+            assert raw.linear.tobytes() == (-gain * (rotation.T @ error.translation)).tobytes()
+            assert raw.angular.tobytes() == (-gain * error.rotation.as_vector()).tobytes()
+
+            angle = _axis_angle(rotation)[1]
+            branch = "zero" if angle == 0.0 else "near-pi" if math.pi - angle < 1e-6 else "generic"
+            seen.add((estimate.yaw is None, branch))
+            clamped = (vector_norm(raw.linear) > max_linear, vector_norm(raw.angular) > max_angular)
+            seen.add(clamped)
+        families_by_branch = {(yawless, branch) for yawless in (True, False)
+                              for branch in ("zero", "near-pi", "generic")}
+        assert families_by_branch | {(True, True), (True, False), (False, True)} <= seen
 
 
 class TestClosedLoop:

@@ -154,6 +154,18 @@ class TestVehicleStep:
         with pytest.raises(ValueError):
             vehicle_step(state, VelocityCommand.zero(), 0.0)
 
+    @pytest.mark.parametrize("pose", [
+        camera_pose_in_marker(-0.0, 0.5, 1.0, -0.0),
+        Pose(expm(np.array([[0.0, -0.3, 0.2], [0.3, 0.0, -0.1], [-0.2, 0.1, 0.0]])),
+             np.array([1e-300, -2.5, 7.0]), "body", "world"),
+    ])
+    def test_state_gives_back_the_pose_it_was_built_from(self, pose):
+        state = VehicleState(pose, 0.25)
+        assert state.time == 0.25
+        assert state.pose.rotation.tobytes() == pose.rotation.tobytes()
+        assert state.pose.translation.tobytes() == pose.translation.tobytes()  # -0.0 kept
+        assert (state.pose.from_frame, state.pose.to_frame) == (pose.from_frame, pose.to_frame)
+
 
 def test_records_do_not_depend_on_the_tick():
     # The vehicle moves only at events, the run ends at the exact crossing,
@@ -188,6 +200,42 @@ def test_records_do_not_depend_on_the_tick():
                     last = noted[k] if k >= 0 and noted[k].time > prev.time else None
                     expected = [last[i] for i in notes] if last else ["", "", None, None, None, None]
                     assert [cur[i] for i in notes] == expected
+
+
+@pytest.mark.parametrize("case", ["landing", "12-fps", "jittered", "timeout"])
+def test_every_state_is_stamped_with_its_event_time(case, monkeypatch):
+    """Each log entry after an event, and its state, carry the event's own
+    time, not ``start.time + dt``, which can miss it by an ulp: at 12 fps with
+    8 ms of transport, ``0.008 + (1/12 - 0.008) != 1/12``."""
+    nominal = nominal_landing_scenario()
+    config = {
+        "landing": nominal,
+        "12-fps": replace(nominal, intrinsics=replace(nominal.intrinsics, frame_period=1 / 12),
+                          delays=replace(nominal.delays, video=DelaySpec.constant(0.005),
+                                         pose=DelaySpec.constant(0.003))),
+        "jittered": replace(nominal, delays=replace(nominal.delays, video=DelaySpec.uniform(
+            0.0, 0.030), pose=DelaySpec.uniform(0.0, 0.020))),
+        "timeout": replace(nominal, duration=3.0),
+    }[case]
+    popped = []
+    pop = timing.EventQueue.pop
+
+    def recording(queue):
+        event = pop(queue)
+        popped.append(event[0])
+        return event
+
+    monkeypatch.setattr(timing.EventQueue, "pop", recording)
+    trace = run_scenario(config)
+    log = trace.records._log
+    # the start, one entry per event but the one that ends the run, and the end state
+    assert len(log) == len(popped) + 1 > 100
+    assert log[0].time == log[0].state.time == 0.0
+    assert [(e.time, e.state.time) for e in log[1:-1]] == [(t, t) for t in popped[:-1]]
+    end = log[-1]
+    assert end.time == end.state.time
+    assert end.time == popped[-1] if trace.status == "timeout" else end.time <= popped[-1]
+    assert trace.status == ("timeout" if case == "timeout" else "landed")
 
 
 @pytest.mark.parametrize("duration, tick_step", [(60.0, 0.01), (4.0, 0.001)])
@@ -784,8 +832,7 @@ def test_engine_made_rotations_stay_proper(config):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simulation, "vehicle_step", tracked(vehicle_step, lambda state: state.pose))
-        for module, name in ((simulation, "invert"), (perception, "invert"), (pbvs, "invert"),
-                             (pbvs, "compose")):
+        for module, name in ((simulation, "invert"), (pbvs, "invert"), (pbvs, "compose")):
             mp.setattr(module, name, tracked(getattr(geometry, name), lambda pose: pose))
         run_scenario(config)
     assert defects and max(defects) <= 1e-9
