@@ -93,7 +93,7 @@ def _clamped(v, limit: float):
 def servo_step(estimate: PoseEstimate, desired: Pose, gain: float, max_linear: float,
                max_angular: float) -> tuple[list, list, list]:
     """The camera position in the marker frame, and the linear and angular velocity of
-    ``clamp_command(control_law(*error_and_rotation(...), gain), ...)``, as float lists."""
+    ``clamp_command(control_law(*error_and_rotation(...), gain), ...)``: float lists, same bits."""
     camera = invert(estimate.relative_pose)
     rel = compose(desired, camera)
     v, w = _law(rel.rotation, rel.translation, *_rotation_error(rel.rotation, estimate.yaw), gain)
