@@ -194,9 +194,9 @@ def bits(*values) -> bytes:
 
 
 def random_servo_cases(rng, n):
-    """(estimate, desired, gain, rotation-error angle asked for) over both
-    families, error angles at and near 0, near pi and between, and gains and
-    offsets that put the command past either speed clamp or both."""
+    """(estimate, desired, gain) over both families, rotation errors at and
+    near 0, near pi and between, and gains and offsets that put the command
+    past either speed clamp or both."""
     angles = (0.0, 1e-12, 1e-9, math.pi - 5e-7, math.pi - 1e-9, math.pi, None)
     for k in range(n):
         desired = desired_pose(rng.uniform(0.3, 3.0), rng.uniform(-math.pi, math.pi))
@@ -216,7 +216,7 @@ class TestServoStep:
     def test_bits_of_the_api_chain(self):
         """The engine's servo step (``servo_step``, then the descent override
         and one VelocityCommand) has the bits of the API chain."""
-        seen = set()
+        branches, clamps = set(), set()
         rng = np.random.default_rng(19)
         for estimate, desired, gain in random_servo_cases(rng, 700):
             max_linear, max_angular = rng.choice([0.5, 1.0]), rng.choice([0.5, 1.0])
@@ -237,12 +237,12 @@ class TestServoStep:
 
             angle = _axis_angle(rotation)[1]
             branch = "zero" if angle == 0.0 else "near-pi" if math.pi - angle < 1e-6 else "generic"
-            seen.add((estimate.yaw is None, branch))
-            clamped = (vector_norm(raw.linear) > max_linear, vector_norm(raw.angular) > max_angular)
-            seen.add(clamped)
-        families_by_branch = {(yawless, branch) for yawless in (True, False)
-                              for branch in ("zero", "near-pi", "generic")}
-        assert families_by_branch | {(True, True), (True, False), (False, True)} <= seen
+            branches.add((estimate.yaw is None, branch))
+            clamps.add((vector_norm(raw.linear) > max_linear,
+                        vector_norm(raw.angular) > max_angular))
+        assert branches == {(yawless, branch) for yawless in (True, False)
+                            for branch in ("zero", "near-pi", "generic")}
+        assert {(True, True), (True, False), (False, True)} <= clamps
 
 
 class TestClosedLoop:
