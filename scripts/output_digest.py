@@ -22,6 +22,12 @@ that moves one kind of output shows which. The groups:
 - ``<workload>``: inputs 0-4 of each benchmark workload at seed 1, built
   from the overrides in ``perfbench/workloads.py``.
 
+The ``config`` group runs nothing: it digests the scenario loader. Its
+``repr`` kind hashes the config loaded from ``scenarios/landing.json`` and,
+for each leaf of the JSON schema, the config with only that leaf set to
+another accepted value; its ``errors`` kind hashes each leaf's error text for
+the value ``"x"``.
+
 Two checkouts produce the same outputs of a kind when its digests match:
 
     python scripts/output_digest.py > new.txt
@@ -35,12 +41,14 @@ under a temporary directory.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import math
 import sys
 import tempfile
 from dataclasses import replace
+from operator import attrgetter
 from pathlib import Path
 
 checkout = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent)
@@ -49,7 +57,8 @@ sys.path[:0] = [str(checkout / "src"), str(checkout)]
 # imported after the path is set, from the checkout named above
 from markersim.marker import MarkerFamily  # noqa: E402
 from markersim.scenario import (  # noqa: E402
-    nominal_landing_scenario, randomized_initial_conditions, scenario_from_dict)
+    _SCHEMA, SIZE_RULES, STRATEGIES, TIMING_SCHEMES, load_scenario, nominal_landing_scenario,
+    randomized_initial_conditions, scenario_from_dict)
 from markersim.simulation import (  # noqa: E402
     collect_metrics, events_to_csv, run_scenario, trace_to_csv)
 from markersim.timing import DelaySpec  # noqa: E402
@@ -87,6 +96,47 @@ def groups():
         yield name, [randomized_initial_conditions(config, 1, i) for i in range(5)]
 
 
+def other_value(value):
+    """A different value of the same kind that the scenario still accepts."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return 0.9 * value if value else 0.5
+    if isinstance(value, str):
+        choices = next(c for c in (STRATEGIES, TIMING_SCHEMES, SIZE_RULES) if value in c)
+        return next(c for c in choices if c != value)
+    if isinstance(value, tuple):
+        return [0.9 * v for v in value]
+    if value is None:
+        return 0.5
+    return 0.9 * value.low  # a DelaySpec, as a constant delay
+
+
+def loader_texts():
+    """(kind, text) of each scenario loader outcome of the ``config`` group."""
+    yield "repr", repr(load_scenario(checkout / "scenarios" / "landing.json"))
+    for leaf, (_, target) in _SCHEMA.items():
+        doc = {}
+        if leaf.startswith("families.long_range.yaw_noise."):
+            # long_range has no yaw noise to change until it yields yaw
+            doc = {"families": {"long_range": {"yields_yaw": True}}}
+        *parents, key = leaf.split(".")
+        for kind, value in (("repr", other_value(attrgetter(target)(scenario_from_dict(doc)))),
+                            ("errors", "x")):
+            changed = copy.deepcopy(doc)
+            section = changed
+            for name in parents:
+                section = section.setdefault(name, {})
+            section[key] = value
+            try:
+                text = repr(scenario_from_dict(changed))
+            except ValueError as exc:
+                text = str(exc)
+            yield kind, text
+
+
 KINDS = ("trace", "events", "summary", "stamps")
 
 
@@ -101,6 +151,10 @@ def run_bytes(config, out: Path) -> tuple[bytes, ...]:
 
 
 def main():
+    for kind in ("repr", "errors"):
+        texts = [text for k, text in loader_texts() if k == kind]
+        digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+        print(f"{'config':20s} {len(texts):3d} texts {kind:8s} {digest}")
     with tempfile.TemporaryDirectory() as tmp:
         for name, configs in groups():
             digests = [hashlib.sha256() for _ in KINDS]
