@@ -53,12 +53,17 @@ OptionalNonNegative = Annotated[float | None, Domain("[0, inf)", optional=True)]
 
 
 @cache
+def annotations(cls) -> dict:
+    """Field name -> its resolved annotation, ``Annotated`` extras kept, for ``cls``."""
+    return get_type_hints(cls, include_extras=True)
+
+
+@cache
 def declared(cls) -> dict:
     """Field name -> its Domain, or the config dataclass it holds, for ``cls``."""
-    hints = get_type_hints(cls, include_extras=True)
     return {
         name: next((a for a in (hint, *get_args(hint)) if isinstance(a, Domain) or is_dataclass(a)), None)
-        for name, hint in hints.items()
+        for name, hint in annotations(cls).items()
     }
 
 

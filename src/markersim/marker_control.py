@@ -55,11 +55,11 @@ def bootstrap_config(
 
 
 def select_marker(
-    estimate: PoseEstimate | None,
+    estimate: PoseEstimate,
     policy: SwitchPolicy,
     intrinsics: CameraIntrinsics,
     screen: Screen,
-    current: MarkerConfig | None,
+    current: MarkerConfig,
     long_range: MarkerFamily,
     full_pose: MarkerFamily,
     size_variant: str = "consistent",
@@ -73,12 +73,6 @@ def select_marker(
     inequalities). A full-pose marker that leaves at least two extra cell
     widths of screen becomes a board sharing one coordinate frame.
     """
-    next_id = 0 if current is None else current.config_id + 1
-    if estimate is None:
-        if current is None:
-            return bootstrap_config(long_range, screen, fill_factor)
-        return None
-
     h = vector_norm(estimate.relative_pose.translation)
     if h <= 0.0:
         return None
@@ -87,10 +81,8 @@ def select_marker(
         kind = FamilyKind.SHORT_RANGE_FULL_POSE
     elif h > policy.switch_to_long_range_above:
         kind = FamilyKind.LONG_RANGE_POSITION_ONLY
-    elif current is not None:
-        kind = current.family.kind
     else:
-        kind = FamilyKind.LONG_RANGE_POSITION_ONLY
+        kind = current.family.kind
     family = full_pose if kind is FamilyKind.SHORT_RANGE_FULL_POSE else long_range
 
     full_fov = 2.0 * fov_half_angle(intrinsics)
@@ -103,8 +95,7 @@ def select_marker(
         return None
 
     if (
-        current is not None
-        and current.family.kind is kind
+        current.family.kind is kind
         and abs(size - current.marker_size) / current.marker_size < policy.rescale_deadband
     ):
         return None
@@ -115,7 +106,7 @@ def select_marker(
     else:
         board = ((0.0, 0.0, size),)
     return MarkerConfig(
-        config_id=next_id,
+        config_id=current.config_id + 1,
         family=family,
         marker_size=size,
         board=board,

@@ -2,10 +2,10 @@
 JSON loader (unknown keys are rejected so typos fail fast, all quantities SI,
 angles in radians). Each field declares its domain once, in its annotation,
 and every config checks its fields against those declarations when built.
-The JSON walker parses each leaf's type from the one table ``_SCHEMA`` and
-checks the value against the declaration of the attribute it sets, so a
-malformed or out-of-range value is a ValueError naming its JSON path. A
-``null`` family or noise profile means its defaults.
+The JSON walker parses each leaf by the type declared for the attribute it
+sets, which ``_LAYOUT`` names, and checks the value against that attribute's
+domain, so a malformed or out-of-range value is a ValueError naming its JSON
+path. A ``null`` family or noise profile means its defaults.
 
 An empty JSON document gives the bundled landing scenario: a 30 Hz VGA camera
 over a 15 cm display, long-range marker bootstrap, family switch at 1.2 m
@@ -18,12 +18,13 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, fields, replace
-from typing import Annotated
+from types import UnionType
+from typing import Annotated, get_args, get_origin
 
 import numpy as np
 
 from .domain import (Domain, Finite, Fraction, NonNegative, OptionalNonNegative, Positive,
-                     check_fields, declared)
+                     annotations, check_fields, declared)
 from .geometry import CameraIntrinsics, fov_half_angle
 from .marker import MarkerFamily, NoiseProfile, Screen
 from .marker_control import SwitchPolicy
@@ -153,62 +154,53 @@ def _delay_spec(value, path: str) -> DelaySpec:
     return DelaySpec(low, high)
 
 
-# Marker families: JSON name -> ScenarioConfig attribute, and their leaves.
+# Marker families: JSON name -> ScenarioConfig attribute.
 _FAMILIES = {"long_range": "long_range_family", "full_pose": "full_pose_family"}
-_FAMILY = {
-    "max_detection_range": _number,
-    "min_pixel_footprint": _number,
-    "yields_yaw": _boolean,
-    **{f"{profile}.{leaf}": _number for profile in ("position_noise", "yaw_noise")
-       for leaf in ("sigma_at_1m", "range_exponent")},
+_FAMILY_LEAVES = ("max_detection_range min_pixel_footprint yields_yaw position_noise.sigma_at_1m "
+                  "position_noise.range_exponent yaw_noise.sigma_at_1m yaw_noise.range_exponent")
+
+# The JSON layout: section -> (the ScenarioConfig attribute prefix it fills,
+# its leaves). Each leaf sets the attribute of the prefix and its own name.
+_LAYOUT = {
+    "camera": ("intrinsics.", "fx fy cx cy width height frame_period"),
+    "screen": ("screen.", "width height"),
+    **{f"families.{name}": (f"{attr}.", _FAMILY_LEAVES) for name, attr in _FAMILIES.items()},
+    "policy": ("policy.", "switch_to_full_pose_below switch_to_long_range_above scale_fraction "
+                          "rescale_deadband"),
+    "delays": ("delays.", "detector_update display display_confirm video pose"),
+    "controller": ("", "gain max_linear_speed max_angular_speed descent_rate"),
+    "landing": ("landing_", "trigger_time error_threshold"),
+    "initial": ("initial_", "position yaw"),
+    "desired": ("desired_", "height yaw"),
+    "run": ("", "duration tick_step timing_scheme size_rule strategy touchdown_height "
+                "bounds_radius bounds_height seed"),
+    "batch": ("batch_", "offset_radius yaw_half_range"),
+    "marker": ("", "gap_fraction fill_factor"),
 }
+
+# A leaf's parser, by the type declared for the attribute it sets.
+_PARSERS = {float: _number, int: _integer, bool: _boolean, str: _as_is, tuple: _vector,
+            DelaySpec: _delay_spec}
+
+
+def _field(attribute: str):
+    """(declared type, Domain or None) of a dotted ScenarioConfig attribute
+    path, with ``Annotated`` and ``| None`` unwrapped from the type."""
+    *owners, name = attribute.split(".")
+    owner = ScenarioConfig
+    for step in owners:
+        owner = declared(owner)[step]
+    kind, rule = annotations(owner)[name], declared(owner)[name]
+    while get_origin(kind) in (Annotated, UnionType):
+        kind = get_args(kind)[0]
+    return get_origin(kind) or kind, rule if isinstance(rule, Domain) else None
+
 
 # The scenario schema: JSON leaf path -> (parser, ScenarioConfig attribute
 # path that the parsed value sets). Every other path is a JSON object.
 _SCHEMA = {
-    "camera.fx": (_number, "intrinsics.fx"),
-    "camera.fy": (_number, "intrinsics.fy"),
-    "camera.cx": (_number, "intrinsics.cx"),
-    "camera.cy": (_number, "intrinsics.cy"),
-    "camera.width": (_integer, "intrinsics.width"),
-    "camera.height": (_integer, "intrinsics.height"),
-    "camera.frame_period": (_number, "intrinsics.frame_period"),
-    "screen.width": (_number, "screen.width"),
-    "screen.height": (_number, "screen.height"),
-    **{f"families.{name}.{leaf}": (parse, f"{attr}.{leaf}")
-       for name, attr in _FAMILIES.items() for leaf, parse in _FAMILY.items()},
-    "policy.switch_to_full_pose_below": (_number, "policy.switch_to_full_pose_below"),
-    "policy.switch_to_long_range_above": (_number, "policy.switch_to_long_range_above"),
-    "policy.scale_fraction": (_number, "policy.scale_fraction"),
-    "policy.rescale_deadband": (_number, "policy.rescale_deadband"),
-    "delays.detector_update": (_delay_spec, "delays.detector_update"),
-    "delays.display": (_delay_spec, "delays.display"),
-    "delays.display_confirm": (_delay_spec, "delays.display_confirm"),
-    "delays.video": (_delay_spec, "delays.video"),
-    "delays.pose": (_delay_spec, "delays.pose"),
-    "controller.gain": (_number, "gain"),
-    "controller.max_linear_speed": (_number, "max_linear_speed"),
-    "controller.max_angular_speed": (_number, "max_angular_speed"),
-    "controller.descent_rate": (_number, "descent_rate"),
-    "landing.trigger_time": (_number, "landing_trigger_time"),
-    "landing.error_threshold": (_number, "landing_error_threshold"),
-    "initial.position": (_vector, "initial_position"),
-    "initial.yaw": (_number, "initial_yaw"),
-    "desired.height": (_number, "desired_height"),
-    "desired.yaw": (_number, "desired_yaw"),
-    "run.duration": (_number, "duration"),
-    "run.tick_step": (_number, "tick_step"),
-    "run.timing_scheme": (_as_is, "timing_scheme"),
-    "run.size_rule": (_as_is, "size_rule"),
-    "run.strategy": (_as_is, "strategy"),
-    "run.touchdown_height": (_number, "touchdown_height"),
-    "run.bounds_radius": (_number, "bounds_radius"),
-    "run.bounds_height": (_number, "bounds_height"),
-    "run.seed": (_integer, "seed"),
-    "batch.offset_radius": (_number, "batch_offset_radius"),
-    "batch.yaw_half_range": (_number, "batch_yaw_half_range"),
-    "marker.gap_fraction": (_number, "gap_fraction"),
-    "marker.fill_factor": (_number, "fill_factor"),
+    f"{section}.{leaf}": (_PARSERS[_field(prefix + leaf)[0]], prefix + leaf)
+    for section, (prefix, leaves) in _LAYOUT.items() for leaf in leaves.split()
 }
 
 
@@ -218,14 +210,6 @@ def _check_object(section, allowed, path: str):
     unknown = sorted(set(section) - set(allowed))
     if unknown:
         raise ValueError(f"unknown config key(s) {unknown} in '{path}' (allowed: {sorted(allowed)})")
-
-
-def _declaration(attribute: str):
-    """The Domain declared for a dotted ScenarioConfig attribute path, if any."""
-    rule = ScenarioConfig
-    for name in attribute.split("."):
-        rule = declared(rule).get(name)
-    return rule if isinstance(rule, Domain) else None
 
 
 def _walk(section, path: str, updates: dict, present: set):
@@ -239,7 +223,7 @@ def _walk(section, path: str, updates: dict, present: set):
         child = prefix + key
         if child in _SCHEMA:
             parse, target = _SCHEMA[child]
-            domain = _declaration(target)
+            domain = _field(target)[1]
             if not (value is None and domain and domain.optional):
                 value = parse(value, child)
                 if domain:

@@ -59,10 +59,9 @@ def camera_pose_in_marker(x: float, y: float, z: float, yaw: float, frame: str =
     return Pose(rot_z(yaw) @ rot_x(math.pi), np.array([x, y, z]), frame, "marker")
 
 
-def _vehicle_yaw(pose: Pose) -> float:
-    """Heading of a camera-to-marker pose; equals relative_yaw of its inverse."""
-    r = pose.rotation
-    return math.atan2(r[1, 0], r[0, 0])
+def _vehicle_yaw(state: VehicleState) -> float:
+    """Heading of the vehicle's camera-to-marker pose; equals relative_yaw of its inverse."""
+    return math.atan2(state.r[3], state.r[0])
 
 
 class VehicleState:
@@ -369,7 +368,7 @@ class _Engine:
         self.rng = np.random.default_rng(config.seed)
         x, y, z = config.initial_position
         self.state = VehicleState(camera_pose_in_marker(x, y, z, config.initial_yaw), 0.0)
-        self.initial_yaw = _vehicle_yaw(self.state.pose)
+        self.initial_yaw = _vehicle_yaw(self.state)
         self.desired = invert(camera_pose_in_marker(0.0, 0.0, config.desired_height,
                                                     config.desired_yaw, "camera_desired"))
 
@@ -539,7 +538,7 @@ class _Engine:
             stamps=self.stamp_audit,
             status=self.status,
             touchdown_time=self.state.time if self.status == "landed" else None,
-            final_state=(x, y, z, _vehicle_yaw(self.state.pose)),
+            final_state=(x, y, z, _vehicle_yaw(self.state)),
             initial_yaw=self.initial_yaw,
             detection_count=len(self.stamp_audit),
             dropout_count=self.dropouts,

@@ -205,7 +205,37 @@ def _other_value(value):
     return 0.9 * value.low  # a DelaySpec, as a constant delay
 
 
+# Each leaf's JSON kind, written out rather than read from _SCHEMA: leaf ->
+# what its error for the value "x" says it must be. Every other leaf is a
+# number; the integer leaves also reject 1.5.
+NOT_A = {
+    "families.long_range.yields_yaw": "a boolean",
+    "families.full_pose.yields_yaw": "a boolean",
+    "run.timing_scheme": f"one of {TIMING_SCHEMES}",
+    "run.size_rule": f"one of {SIZE_RULES}",
+    "run.strategy": f"one of {STRATEGIES}",
+    "initial.position": "a 3-element list",
+    **{f"delays.{name}": "a number, {'constant': x} or {'uniform': [lo, hi]}"
+       for name in ("detector_update", "display", "display_confirm", "video", "pose")},
+}
+INTEGERS = ("camera.width", "camera.height", "run.seed")
+
+
 class TestSchema:
+    @pytest.mark.parametrize("leaf", sorted(_SCHEMA))
+    def test_each_leaf_rejects_a_value_of_another_kind(self, leaf):
+        assert set(NOT_A) | set(INTEGERS) <= set(_SCHEMA)
+        wrong = [("x", NOT_A.get(leaf, "a number"))]
+        if leaf in INTEGERS:
+            wrong.append((1.5, "an integer"))
+        for value, kind in wrong:
+            doc = value
+            for name in reversed(leaf.split(".")):
+                doc = {name: doc}
+            with pytest.raises(ValueError) as error:
+                scenario_from_dict(doc)
+            assert str(error.value) == f"'{leaf}' must be {kind}, got {value!r}"
+
     def test_bundled_scenario_spells_out_every_leaf(self):
         doc = json.loads(SCENARIO_JSON.read_text(encoding="utf-8"))
         # long_range yields no yaw, so the file gives it no yaw_noise

@@ -72,14 +72,12 @@ class TestFamilySelection:
 
 class TestBootstrap:
     def test_no_estimate_no_current_emits_long_range_max(self):
-        cfg = select(None, None)
+        # the run starts from the bootstrap, before any estimate or command
+        cfg = bootstrap_config(LONG, SCREEN)
         assert cfg.config_id == 0
         assert cfg.family.kind is FamilyKind.LONG_RANGE_POSITION_ONLY
         assert cfg.marker_size == pytest.approx(0.15)
         assert cfg.n_cells == 1
-
-    def test_no_estimate_with_current_is_no_change(self):
-        assert select(None, long_range_current()) is None
 
     def test_bootstrap_config_factory(self):
         cfg = bootstrap_config(LONG, Screen(0.3, 0.2), fill_factor=0.5)

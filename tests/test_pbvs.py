@@ -268,4 +268,4 @@ class TestClosedLoop:
             state = vehicle_step(state, control_law(e, 1.0, r), 1e-2)
         from markersim.simulation import _vehicle_yaw
 
-        assert abs(_vehicle_yaw(state.pose)) < 0.4 * math.exp(-1.5)
+        assert abs(_vehicle_yaw(state)) < 0.4 * math.exp(-1.5)
