@@ -151,8 +151,9 @@ def run_bytes(config, out: Path) -> tuple[bytes, ...]:
 
 
 def main():
+    outcomes = list(loader_texts())
     for kind in ("repr", "errors"):
-        texts = [text for k, text in loader_texts() if k == kind]
+        texts = [text for k, text in outcomes if k == kind]
         digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
         print(f"{'config':20s} {len(texts):3d} texts {kind:8s} {digest}")
     with tempfile.TemporaryDirectory() as tmp:

@@ -53,7 +53,7 @@ OptionalNonNegative = Annotated[float | None, Domain("[0, inf)", optional=True)]
 
 
 @cache
-def annotations(cls) -> dict:
+def type_hints(cls) -> dict:
     """Field name -> its resolved annotation, ``Annotated`` extras kept, for ``cls``."""
     return get_type_hints(cls, include_extras=True)
 
@@ -63,7 +63,7 @@ def declared(cls) -> dict:
     """Field name -> its Domain, or the config dataclass it holds, for ``cls``."""
     return {
         name: next((a for a in (hint, *get_args(hint)) if isinstance(a, Domain) or is_dataclass(a)), None)
-        for name, hint in annotations(cls).items()
+        for name, hint in type_hints(cls).items()
     }
 
 

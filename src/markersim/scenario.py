@@ -24,7 +24,7 @@ from typing import Annotated, get_args, get_origin
 import numpy as np
 
 from .domain import (Domain, Finite, Fraction, NonNegative, OptionalNonNegative, Positive,
-                     annotations, check_fields, declared)
+                     check_fields, declared, type_hints)
 from .geometry import CameraIntrinsics, fov_half_angle
 from .marker import MarkerFamily, NoiseProfile, Screen
 from .marker_control import SwitchPolicy
@@ -160,7 +160,7 @@ _FAMILY_LEAVES = ("max_detection_range min_pixel_footprint yields_yaw position_n
                   "position_noise.range_exponent yaw_noise.sigma_at_1m yaw_noise.range_exponent")
 
 # The JSON layout: section -> (the ScenarioConfig attribute prefix it fills,
-# its leaves). Each leaf sets the attribute of the prefix and its own name.
+# its leaves). A leaf sets the attribute whose path is the prefix + the leaf.
 _LAYOUT = {
     "camera": ("intrinsics.", "fx fy cx cy width height frame_period"),
     "screen": ("screen.", "width height"),
@@ -190,7 +190,7 @@ def _field(attribute: str):
     owner = ScenarioConfig
     for step in owners:
         owner = declared(owner)[step]
-    kind, rule = annotations(owner)[name], declared(owner)[name]
+    kind, rule = type_hints(owner)[name], declared(owner)[name]
     while get_origin(kind) in (Annotated, UnionType):
         kind = get_args(kind)[0]
     return get_origin(kind) or kind, rule if isinstance(rule, Domain) else None
