@@ -130,15 +130,13 @@ def _cmd_batch(args) -> int:
 
 
 _COMPARE_FIELDS = (
-    ("status", "status"),
-    ("time_to_land", "t_land[s]"),
-    ("final_lateral_error", "lat_err[m]"),
-    ("final_yaw_error", "yaw_err[rad]"),
-    ("detection_count", "detects"),
-    ("dropout_count", "dropouts"),
-    ("invalid_count", "invalid"),
-    ("marker_update_count", "updates"),
-    ("max_detection_distance", "max_det[m]"),
+    ("runs", "runs"),
+    ("landed", "landed"),
+    ("mean_time_to_land", "mean_t_land[s]"),
+    ("mean_lateral_error", "mean_lat_err[m]"),
+    ("mean_invalid_count", "mean_invalid"),
+    ("mean_marker_update_count", "mean_updates"),
+    ("diverged", "diverged"),
 )
 
 
@@ -146,13 +144,12 @@ def _cmd_compare(args) -> int:
     config = _load_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    results, aggregates = {}, {}
+    aggregates = {}
     for strategy in STRATEGIES:
         # identical seeds across strategies: differences are attributable to
         # the marker strategy alone
         summaries = run_batch(replace(config, strategy=strategy), args.n, config.seed,
                               jobs=args.jobs)
-        results[strategy] = summaries
         (out / strategy).mkdir(exist_ok=True)
         aggregates[strategy] = _write_batch(summaries, out / strategy)
     _write_json(aggregates, out / "comparison.json")
@@ -165,15 +162,12 @@ def _cmd_compare(args) -> int:
         return str(value)
 
     header = ["strategy"] + [label for _, label in _COMPARE_FIELDS]
-    rows = []
-    for strategy, summaries in results.items():
-        first = summaries[0]
-        rows.append([strategy] + [cell(first[key]) for key, _ in _COMPARE_FIELDS])
+    rows = [[strategy] + [cell(agg[key]) for key, _ in _COMPARE_FIELDS]
+            for strategy, agg in aggregates.items()]
     widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
     for row in [header] + rows:
         print("  ".join(v.ljust(w) for v, w in zip(row, widths)))
-    diverged = any(s["status"] == "diverged" for ss in results.values() for s in ss)
-    return 2 if diverged else 0
+    return 2 if any(agg["diverged"] for agg in aggregates.values()) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

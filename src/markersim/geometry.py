@@ -107,13 +107,16 @@ class Pose:
         return pose
 
 
+def check_adjacent(expects: str, produces: str):
+    """Raise unless a transform from frame ``expects`` can follow one to ``produces``."""
+    if expects != produces:
+        raise ValueError(f"cannot compose: left transform expects frame '{expects}' "
+                         f"but right transform produces frame '{produces}'")
+
+
 def compose(a: Pose, b: Pose) -> Pose:
     """Chain two transforms: the result maps ``b.from_frame`` to ``a.to_frame``."""
-    if a.from_frame != b.to_frame:
-        raise ValueError(
-            f"cannot compose: left transform expects frame '{a.from_frame}' "
-            f"but right transform produces frame '{b.to_frame}'"
-        )
+    check_adjacent(a.from_frame, b.to_frame)
     return Pose._unchecked(
         a.rotation @ b.rotation,
         a.rotation @ b.translation + a.translation,

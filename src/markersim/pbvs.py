@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import _ZERO_ANGLE_EPS, AngleAxis, Pose, _axis_angle, compose, invert, vector_norm
+from .geometry import (_ZERO_ANGLE_EPS, AngleAxis, Pose, _axis_angle, check_adjacent, compose, invert,
+                       vector_norm)
 from .perception import PoseEstimate
 
 
@@ -59,6 +60,12 @@ class VelocityCommand:
         self.is_finite = all(map(math.isfinite, self.twist))
 
     @classmethod
+    def _of(cls, twist: tuple) -> "VelocityCommand":
+        cmd = object.__new__(cls)
+        cmd.twist, cmd.is_finite = twist, all(map(math.isfinite, twist))
+        return cmd
+
+    @classmethod
     def zero(cls) -> "VelocityCommand":
         return cls(np.zeros(3), np.zeros(3))
 
@@ -94,10 +101,12 @@ def servo_step(estimate: PoseEstimate, desired: Pose, gain: float, max_linear: f
                max_angular: float) -> tuple[list, list, list]:
     """The camera position in the marker frame, and the linear and angular velocity of
     ``clamp_command(control_law(*error_and_rotation(...), gain), ...)``: float lists, same bits."""
-    camera = invert(estimate.relative_pose)
-    rel = compose(desired, camera)
-    v, w = _law(rel.rotation, rel.translation, *_rotation_error(rel.rotation, estimate.yaw), gain)
-    return camera.translation.tolist(), _clamped(v, max_linear), _clamped(w, max_angular)
+    check_adjacent(desired.from_frame, estimate.relative_pose.from_frame)
+    rt = estimate.relative_pose.rotation.T  # invert's and compose's products, with no Pose
+    camera, rotation = -rt @ estimate.relative_pose.translation, desired.rotation @ rt
+    v, w = _law(rotation, desired.rotation @ camera + desired.translation,
+                *_rotation_error(rotation, estimate.yaw), gain)
+    return camera.tolist(), _clamped(v, max_linear), _clamped(w, max_angular)
 
 
 def error_and_rotation(estimate: PoseEstimate, desired: Pose) -> tuple[FeatureVector, np.ndarray]:

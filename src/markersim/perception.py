@@ -111,32 +111,34 @@ def _usable_cells(true_pose: Pose, displayed: MarkerConfig, k: CameraIntrinsics,
     says why: too-small when every cell in front of the camera is too small,
     out-of-view otherwise.
 
-    A plain marker (one cell) is gated on Python floats, which saves numpy's
-    fixed cost per call on four corners. Only the product stays in numpy, the
-    same ``rotation @ corners`` as ``_project_board``'s: written-out sums
-    round differently. Every later step is a correctly rounded elementwise
-    operation, so the gate has ``_project_board``'s bits. Edges that overflow
-    or are NaN go to ``_project_board``, whose hypot fallback is the one
-    overflow rule.
+    A plain marker (one cell) is gated in straight-line float code, saving numpy's
+    fixed cost per call on four corners. Only ``rotation @ corners`` stays in numpy,
+    as in ``_project_board``: written-out sums round differently. Each later step is
+    correctly rounded elementwise, so the gate has ``_project_board``'s bits. A cell
+    with an edge that overflows or is NaN goes to ``_project_board``, whose hypot
+    fallback is the one overflow rule; all four edges are tested before ``max``,
+    whose result over a NaN depends on argument order.
     """
     corners = displayed._corners
     if displayed.n_cells == 1:
-        x, y, z = (true_pose.rotation @ corners + true_pose.translation[:, None]).tolist()
-        if z[0] <= 0.0 or z[1] <= 0.0 or z[2] <= 0.0 or z[3] <= 0.0:
+        (x0, x1, x2, x3), (y0, y1, y2, y3), (z0, z1, z2, z3) = (
+            true_pose.rotation @ corners + true_pose.translation[:, None]).tolist()
+        if z0 <= 0.0 or z1 <= 0.0 or z2 <= 0.0 or z3 <= 0.0:
             return NoDetection("out-of-view")
-        u = [k.fx * xi / zi + k.cx for xi, zi in zip(x, z)]
-        v = [k.fy * yi / zi + k.cy for yi, zi in zip(y, z)]
-        # Each corner against its neighbour along the outline (_NEXT_CORNER).
-        edges = [math.sqrt((u0 - u1) * (u0 - u1) + (v0 - v1) * (v0 - v1))
-                 for u0, u1, v0, v1 in zip(u, u[1:] + u[:1], v, v[1:] + v[:1])]
-        if all(map(math.isfinite, edges)):
-            if max(edges) < min_footprint:
+        fx, fy, cx, cy = k.fx, k.fy, k.cx, k.cy
+        u0, u1, u2, u3 = fx * x0 / z0 + cx, fx * x1 / z1 + cx, fx * x2 / z2 + cx, fx * x3 / z3 + cx
+        v0, v1, v2, v3 = fy * y0 / z0 + cy, fy * y1 / z1 + cy, fy * y2 / z2 + cy, fy * y3 / z3 + cy
+        e0 = math.sqrt((u0 - u1) * (u0 - u1) + (v0 - v1) * (v0 - v1))
+        e1 = math.sqrt((u1 - u2) * (u1 - u2) + (v1 - v2) * (v1 - v2))
+        e2 = math.sqrt((u2 - u3) * (u2 - u3) + (v2 - v3) * (v2 - v3))
+        e3 = math.sqrt((u3 - u0) * (u3 - u0) + (v3 - v0) * (v3 - v0))
+        if math.isfinite(e0) and math.isfinite(e1) and math.isfinite(e2) and math.isfinite(e3):
+            if max(e0, e1, e2, e3) < min_footprint:
                 return NoDetection("too-small")
-            # numpy compares with the float of an integer size, so do the same.
-            width, height = float(k.width), float(k.height)
-            if all(0.0 <= ui <= width for ui in u) and all(0.0 <= vi <= height for vi in v):
-                return 1
-            return NoDetection("out-of-view")
+            w, h = float(k.width), float(k.height)  # numpy compares with an integer size's float
+            inside = (0.0 <= u0 <= w and 0.0 <= u1 <= w and 0.0 <= u2 <= w and 0.0 <= u3 <= w
+                      and 0.0 <= v0 <= h and 0.0 <= v1 <= h and 0.0 <= v2 <= h and 0.0 <= v3 <= h)
+            return 1 if inside else NoDetection("out-of-view")
     visible, footprints = _project_board(true_pose, corners, k)
     usable = int(np.count_nonzero(visible & (footprints >= min_footprint)))
     if usable == 0:

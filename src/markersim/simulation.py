@@ -437,7 +437,8 @@ class _Engine:
     # -- event handlers ----------------------------------------------------
 
     def _on_grab(self, now: float, k: int):
-        true_rel = invert(self.state.pose)  # marker -> camera
+        rt = np.array(self.state.r).reshape(3, 3).T  # invert(state.pose), marker -> camera
+        true_rel = Pose._unchecked(rt, -rt @ np.array(self.state.t), *self.state.frames[::-1])
         transport = self.cfg.delays.video.sample(self.rng) + self.cfg.delays.pose.sample(self.rng)
         self.queue.push(now + transport, "pose-ready", (now, true_rel, self.displayed))
         # on the frame grid, as rows are on theirs, so that coinciding instants are equal
@@ -470,8 +471,8 @@ class _Engine:
         ):
             self.landing = True
         if self.landing:
-            linear[2] = cfg.descent_rate  # with_descent's override
-        self.cmd = VelocityCommand(linear, angular)
+            linear[2] = float(cfg.descent_rate)  # with_descent's override, which makes it a float
+        self.cmd = VelocityCommand._of((*linear, *angular))
 
         if cfg.strategy == "dynamic":
             proposal = select_marker(

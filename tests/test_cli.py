@@ -387,6 +387,19 @@ class TestCompareCommand:
         for strategy in comparison:
             assert (out / strategy / "run_000.json").exists()
 
+    def test_compare_table_prints_each_strategys_aggregate(self, tmp_path, capsys):
+        config = quick_config(tmp_path)
+        out = tmp_path / "cmp"
+        assert main(["compare", "--config", config, "--out", str(out), "--seed", "4",
+                     "--n", "3"]) == 0
+        comparison = json.loads((out / "comparison.json").read_text())
+        header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        printed = {row[0]: dict(zip(header, row)) for row in rows}
+        assert set(printed) == set(comparison)
+        for strategy, agg in comparison.items():
+            assert int(printed[strategy]["runs"]) == agg["runs"] == 3
+            assert int(printed[strategy]["landed"]) == agg["landed"]
+
     def test_compare_uses_identical_seeds(self, tmp_path):
         config = quick_config(tmp_path)
         out = tmp_path / "cmp"

@@ -188,6 +188,16 @@ class TestVelocityCommand:
         assert not VelocityCommand(np.zeros(3), np.array([0.0, value, 0.0])).is_finite
         assert not VelocityCommand(np.array([value, 0.0, 0.0]), np.zeros(3)).is_finite
 
+    @pytest.mark.parametrize("value", [0.25, -0.0, math.inf, -math.inf, math.nan])
+    def test_the_engine_form_is_the_public_form(self, value):
+        """``_of``, the engine's command from six floats, has the public
+        constructor's twist bits and finiteness, with ``value`` in each place."""
+        for i in range(6):
+            twist = tuple(value if j == i else 0.1 * (j + 1) for j in range(6))
+            engine, public = VelocityCommand._of(twist), VelocityCommand(twist[:3], twist[3:])
+            assert bits(*engine.twist) == bits(*public.twist)
+            assert engine.is_finite == public.is_finite == math.isfinite(value)
+
 
 def bits(*values) -> bytes:
     return np.array(values, dtype=float).tobytes()
@@ -215,7 +225,7 @@ def random_servo_cases(rng, n):
 class TestServoStep:
     def test_bits_of_the_api_chain(self):
         """The engine's servo step (``servo_step``, then the descent override
-        and one VelocityCommand) has the bits of the API chain."""
+        and one ``VelocityCommand._of``) has the bits of the API chain."""
         branches, clamps = set(), set()
         rng = np.random.default_rng(19)
         for estimate, desired, gain in random_servo_cases(rng, 700):
@@ -228,7 +238,8 @@ class TestServoStep:
             if descent is not None:
                 linear[2] = descent
                 reference = with_descent(reference, descent)
-            cmd = VelocityCommand(linear, angular)
+            cmd = VelocityCommand._of((*linear, *angular))
+            assert cmd.is_finite
             assert bits(*cam) == invert(estimate.relative_pose).translation.tobytes()
             assert bits(*cmd.twist) == bits(*reference.linear, *reference.angular)
             # the law itself is numpy's product and scaling
@@ -243,6 +254,17 @@ class TestServoStep:
         assert branches == {(yawless, branch) for yawless in (True, False)
                             for branch in ("zero", "near-pi", "generic")}
         assert {(True, True), (True, False), (False, True)} <= clamps
+
+    def test_frames_must_chain(self):
+        """``servo_step`` checks, as ``compose`` does, that the estimate's marker
+        frame is the one the goal starts from, with the same message."""
+        estimate = estimate_from_camera_pose(0.1, 0.2, 1.5, 0.3)
+        desired = Pose(ROT_X_180, [0.0, 0.0, 1.0], "screen", "camera_desired")
+        with pytest.raises(ValueError) as api:
+            error_and_rotation(estimate, desired)
+        with pytest.raises(ValueError, match="expects frame 'screen'") as engine:
+            servo_step(estimate, desired, 1.0, 1.0, 1.0)
+        assert str(engine.value) == str(api.value)
 
 
 class TestClosedLoop:

@@ -475,3 +475,19 @@ class TestPlainMarkerGateMatchesBoardProjection:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert_plain_gate_is_the_board_gate(overhead_pose(1.5), 0.15, k)
+
+    def test_partly_overflowing_edges_take_the_board_path(self):
+        # Camera z is the marker's x: corners 0 and 3 sit 1e-300 m in front of
+        # the camera and corners 1 and 2 at 3e-300 m, all at camera x = 1 m.
+        # The edges joining the two depths square past the float range, and
+        # the two at one depth are 0, so only some edges are finite.
+        permutation = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        pose = Pose(permutation, [1.0, 0.0, 2e-300], "marker", "camera")
+        x, _, z = (pose.rotation @ single(FULL, 2e-300)._corners + pose.translation[:, None]).tolist()
+        assert z == [1e-300, 3e-300, 3e-300, 1e-300]
+        u = [K.fx * xi / zi + K.cx for xi, zi in zip(x, z)]
+        squares = [(a - b) * (a - b) for a, b in zip(u, u[1:] + u[:1])]
+        assert [math.isfinite(sq) for sq in squares] == [False, True, False, True]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_plain_gate_is_the_board_gate(pose, 2e-300, K)

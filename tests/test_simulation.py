@@ -9,16 +9,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from markersim import geometry, pbvs, perception, simulation, timing
+from markersim import geometry, perception, simulation, timing
 from markersim.domain import Domain, declared
 from markersim.geometry import CameraIntrinsics, Pose, _rotation_defect, fov_half_angle
 from markersim.marker import MarkerConfig, MarkerFamily, NoiseProfile
 from markersim.marker_control import SwitchPolicy
 from markersim.pbvs import VelocityCommand
+from markersim.perception import NoDetection
 from markersim.scenario import (
     ScenarioConfig,
     nominal_landing_scenario,
@@ -657,6 +658,18 @@ class TestExactEnd:
         assert trace.records[-1].time == 0.505 and trace.records[-1].landing == 1
 
 
+def test_an_integer_descent_rate_writes_its_floats_trace(tmp_path):
+    """The engine builds its command from floats, so a descent rate given as
+    an int writes the trace.csv of the same rate given as a float."""
+    written = []
+    for rate in (1, 1.0):
+        trace = run_scenario(replace(nominal_landing_scenario(), descent_rate=rate))
+        assert trace.status == "landed"
+        trace_to_csv(trace, tmp_path / "trace.csv")
+        written.append((tmp_path / "trace.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def domain_values(domain: Domain, like=None):
     """Every value ``domain`` accepts; a tuple ``like`` gives a tuple field's length."""
     if domain.choices:
@@ -815,27 +828,39 @@ def test_optimized_distrusts_only_mismatched_frames(config):
 
 
 @given(st.one_of(valid_configs(), landing_configs()))
+@example(nominal_landing_scenario())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_engine_made_rotations_stay_proper(config):
-    """Poses that vehicle_step, invert and compose make skip Pose's rotation
-    check; every one a run makes stays within the 1e-9 geometry promises for
-    library-made rotations."""
-    defects = []
+    """Poses that vehicle_step, invert, the engine's inverse of the state and
+    simulate_detection make skip Pose's rotation check; every one a run makes
+    stays within the 1e-9 geometry promises for library-made rotations."""
+    defects, calls = [], dict.fromkeys(("vehicle_step", "invert", "simulate_detection"), 0)
 
-    def tracked(fn, pose_of):
-        def wrapper(*args):
-            result = fn(*args)
-            defects.append(_rotation_defect(pose_of(result).rotation))
+    def tracked(name, fn, poses_of):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            calls[name] += 1
+            defects.extend(_rotation_defect(pose.rotation) for pose in poses_of(args, result))
             return result
 
         return wrapper
 
+    def detection_poses(args, result):
+        # the true pose the engine built from the state, and the estimate made from it
+        return [args[0]] + ([] if isinstance(result, NoDetection) else [result.relative_pose])
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulation, "vehicle_step", tracked(vehicle_step, lambda state: state.pose))
-        for module, name in ((simulation, "invert"), (pbvs, "invert"), (pbvs, "compose")):
-            mp.setattr(module, name, tracked(getattr(geometry, name), lambda pose: pose))
-        run_scenario(config)
-    assert defects and max(defects) <= 1e-9
+        mp.setattr(simulation, "vehicle_step",
+                   tracked("vehicle_step", vehicle_step, lambda args, state: [state.pose]))
+        mp.setattr(simulation, "invert", tracked("invert", geometry.invert, lambda args, p: [p]))
+        mp.setattr(simulation, "simulate_detection",
+                   tracked("simulate_detection", perception.simulate_detection, detection_poses))
+        trace = run_scenario(config)
+    # every camera frame whose pose came out before the end went through the wrapper
+    assert calls["simulate_detection"] == trace.detection_count + trace.dropout_count
+    if calls["simulate_detection"]:  # then the vehicle moved, and every wrapper ran
+        assert min(calls.values()) > 0
+    assert max(defects) <= 1e-9
 
 
 @given(st.one_of(valid_configs(), landing_configs()), st.floats(0.001, 1.0), st.floats(0.001, 1.0))
