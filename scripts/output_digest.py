@@ -19,6 +19,10 @@ that moves one kind of output shows which. The groups:
   whose estimates carry no yaw;
 - ``landing-trigger``: 10 starts whose descent is started at 4 s by the
   landing trigger rather than by the error threshold;
+- ``rising-clamped``: 10 starts within 0.1 m of the point 0.5 m over the
+  marker, under a 1.0 m goal, so the detection distance rises; the goal
+  heading is 2.5 rad and the limits are 0.2 m/s and 0.05 rad/s, so both
+  speed clamps bind;
 - ``<workload>``: inputs 0-4 of each benchmark workload at seed 1, built
   from the overrides in ``perfbench/workloads.py``.
 
@@ -89,6 +93,10 @@ def groups():
                                 for i in range(10)]
     trigger = replace(nominal, landing_trigger_time=4.0, landing_error_threshold=None)
     yield "landing-trigger", [randomized_initial_conditions(trigger, 2026, i) for i in range(10)]
+    rising = replace(nominal, initial_position=(0.0, 0.0, 0.5), desired_height=1.0,
+                     desired_yaw=2.5, max_linear_speed=0.2, max_angular_speed=0.05,
+                     batch_offset_radius=0.1)
+    yield "rising-clamped", [randomized_initial_conditions(rising, 2026, i) for i in range(10)]
     base = json.loads(workloads.LANDING.read_text(encoding="utf-8"))
     extra = {"board-heavy": workloads.BOARD_HEAVY, "trace-hover": workloads.TRACE_HOVER}
     for name in workloads.WORKLOADS:
