@@ -31,7 +31,7 @@ def rot_x(angle: float) -> np.ndarray:
 def rot_z(angle: float) -> np.ndarray:
     """Rotation matrix about the z axis."""
     c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return np.array((c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0)).reshape(3, 3)
 
 
 def _rotation_defect(r: np.ndarray) -> float:
@@ -55,6 +55,13 @@ def vector_norm(v: np.ndarray) -> float:
     """Euclidean norm of a float vector; the value np.linalg.norm returns,
     without its per-call overhead."""
     return math.sqrt(float(v.dot(v)))
+
+
+def surely_within(v, limit: float) -> bool:
+    """Whether the floats ``v`` are no longer than ``limit`` by ``vector_norm``, by a written-out
+    sum of squares under ``limit² (1 - 1e-9)`` (README, "The servo"); False if it does not show it."""
+    x, y, z = v
+    return 1e-300 <= x * x + y * y + z * z < limit * limit * (1.0 - 1e-9) < math.inf
 
 
 def check_rotation(r: np.ndarray, tol: float = ORTHONORMAL_TOL) -> np.ndarray:
@@ -125,10 +132,15 @@ def compose(a: Pose, b: Pose) -> Pose:
     )
 
 
+def inverse_of(rotation: np.ndarray, translation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``invert``'s rotation ``R.T`` and translation ``-R.T @ t``, with no Pose."""
+    rt = rotation.T
+    return rt, -rt @ translation
+
+
 def invert(p: Pose) -> Pose:
     """Inverse transform, mapping ``to_frame`` back to ``from_frame``."""
-    rt = p.rotation.T
-    return Pose._unchecked(rt, -rt @ p.translation, p.to_frame, p.from_frame)
+    return Pose._unchecked(*inverse_of(p.rotation, p.translation), p.to_frame, p.from_frame)
 
 
 @dataclass(frozen=True)
@@ -226,7 +238,8 @@ class CameraIntrinsics:
             raise ValueError(f"principal point cx={self.cx} outside (0, {self.width})")
         if self.cy >= self.height:
             raise ValueError(f"principal point cy={self.cy} outside (0, {self.height})")
-        if not fov_half_angle(self) < math.pi / 2.0:
+        object.__setattr__(self, "_full_fov", 2.0 * fov_half_angle(self))  # once, not per frame
+        if not self._full_fov < math.pi:
             raise ValueError(f"field of view must be below pi, got fx={self.fx}, fy={self.fy}")
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .domain import Fraction, NonNegative, Positive, check_fields
-from .geometry import CameraIntrinsics, fov_half_angle, vector_norm
+from .geometry import CameraIntrinsics, vector_norm
 from .marker import (
     FamilyKind,
     MarkerConfig,
@@ -85,9 +85,8 @@ def select_marker(
         kind = current.family.kind
     family = full_pose if kind is FamilyKind.SHORT_RANGE_FULL_POSE else long_range
 
-    full_fov = 2.0 * fov_half_angle(intrinsics)
     size = clamp_to_screen(
-        optimal_marker_size(full_fov, h, policy.scale_fraction, size_variant),
+        optimal_marker_size(intrinsics._full_fov, h, policy.scale_fraction, size_variant),
         screen,
         fill_factor,
     )

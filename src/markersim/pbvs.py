@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (_ZERO_ANGLE_EPS, AngleAxis, Pose, _axis_angle, check_adjacent, compose, invert,
-                       vector_norm)
+                       inverse_of, surely_within, vector_norm)
 from .perception import PoseEstimate
 
 
@@ -92,7 +92,9 @@ def _law(rotation: np.ndarray, translation: np.ndarray, axis, angle: float, gain
 
 
 def _clamped(v, limit: float):
-    """The floats ``v`` scaled down to norm ``limit`` when longer, else ``v``."""
+    """The floats ``v`` scaled down to norm ``limit`` when longer, else ``v`` (at once if ``surely_within``)."""
+    if surely_within(v, limit):
+        return v
     n = vector_norm(np.array(v)) if any(v) else 0.0
     return [x * (limit / n) for x in v] if limit > 0 and n > limit else v
 
@@ -102,8 +104,8 @@ def servo_step(estimate: PoseEstimate, desired: Pose, gain: float, max_linear: f
     """The camera position in the marker frame, and the linear and angular velocity of
     ``clamp_command(control_law(*error_and_rotation(...), gain), ...)``: float lists, same bits."""
     check_adjacent(desired.from_frame, estimate.relative_pose.from_frame)
-    rt = estimate.relative_pose.rotation.T  # invert's and compose's products, with no Pose
-    camera, rotation = -rt @ estimate.relative_pose.translation, desired.rotation @ rt
+    rt, camera = inverse_of(estimate.relative_pose.rotation, estimate.relative_pose.translation)
+    rotation = desired.rotation @ rt  # invert's and compose's products, with no Pose
     v, w = _law(rotation, desired.rotation @ camera + desired.translation,
                 *_rotation_error(rotation, estimate.yaw), gain)
     return camera.tolist(), _clamped(v, max_linear), _clamped(w, max_angular)

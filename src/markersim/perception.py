@@ -53,6 +53,14 @@ class PoseEstimate:
     capture_time: float
     position_sigma: float
 
+    @classmethod
+    def _of(cls, relative_pose, yaw, computed_against, capture_time, position_sigma):
+        """An estimate of library-derived values, stored as they are, as ``Pose._unchecked`` does."""
+        estimate = object.__new__(cls)
+        estimate.__dict__.update(relative_pose=relative_pose, yaw=yaw, computed_against=computed_against,
+                                 capture_time=capture_time, position_sigma=position_sigma)
+        return estimate
+
 
 def relative_yaw(rotation_marker_to_camera: np.ndarray) -> float:
     """Heading of the camera about the marker normal.
@@ -89,14 +97,14 @@ def _project_board(true_pose: Pose, corners: np.ndarray, k: CameraIntrinsics):
     if behind.any():
         front = ~behind.any(axis=1)
         x, y, z = x[front], y[front], z[front]
-    # Footprint is a size measure, so keep the unclamped pinhole pixel.
-    u = k.fx * x / z + k.cx
-    v = k.fy * y / z + k.cy
-    outside = (u < 0.0) | (u > k.width) | (v < 0.0) | (v > k.height)
-    du = u - u[:, _NEXT_CORNER]
-    dv = v - v[:, _NEXT_CORNER]
-    with np.errstate(over="ignore"):
+    # Footprint is a size measure, so keep the unclamped pinhole pixel, even an overflowing one.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = k.fx * x / z + k.cx
+        v = k.fy * y / z + k.cy
+        du = u - u[:, _NEXT_CORNER]
+        dv = v - v[:, _NEXT_CORNER]
         edges = np.sqrt(du * du + dv * dv)
+    outside = (u < 0.0) | (u > k.width) | (v < 0.0) | (v > k.height)
     if not np.isfinite(edges).all():  # the squares overflowed; hypot does not
         huge = ~np.isfinite(edges)
         edges[huge] = np.hypot(du[huge], dv[huge])
@@ -113,16 +121,19 @@ def _usable_cells(true_pose: Pose, displayed: MarkerConfig, k: CameraIntrinsics,
 
     A plain marker (one cell) is gated in straight-line float code, saving numpy's
     fixed cost per call on four corners. Only ``rotation @ corners`` stays in numpy,
-    as in ``_project_board``: written-out sums round differently. Each later step is
-    correctly rounded elementwise, so the gate has ``_project_board``'s bits. A cell
+    as in ``_project_board``: written-out sums round differently. Each later step, adding
+    the translation too, rounds correctly elementwise: the gate has the board's bits. A cell
     with an edge that overflows or is NaN goes to ``_project_board``, whose hypot
     fallback is the one overflow rule; all four edges are tested before ``max``,
     whose result over a NaN depends on argument order.
     """
     corners = displayed._corners
     if displayed.n_cells == 1:
-        (x0, x1, x2, x3), (y0, y1, y2, y3), (z0, z1, z2, z3) = (
-            true_pose.rotation @ corners + true_pose.translation[:, None]).tolist()
+        (x0, x1, x2, x3), (y0, y1, y2, y3), (z0, z1, z2, z3) = (true_pose.rotation @ corners).tolist()
+        tx, ty, tz = true_pose.translation.tolist()
+        x0, x1, x2, x3 = x0 + tx, x1 + tx, x2 + tx, x3 + tx
+        y0, y1, y2, y3 = y0 + ty, y1 + ty, y2 + ty, y3 + ty
+        z0, z1, z2, z3 = z0 + tz, z1 + tz, z2 + tz, z3 + tz
         if z0 <= 0.0 or z1 <= 0.0 or z2 <= 0.0 or z3 <= 0.0:
             return NoDetection("out-of-view")
         fx, fy, cx, cy = k.fx, k.fy, k.cx, k.cy
@@ -168,8 +179,7 @@ def simulate_detection(
     yaw when applicable).
     """
     family = displayed.family
-    t_true = true_pose.translation
-    distance = vector_norm(t_true)
+    distance = vector_norm(true_pose.translation)
     if distance > family.max_detection_range:
         return NoDetection("out-of-range")
 
@@ -183,21 +193,18 @@ def simulate_detection(
 
     scale = believed.marker_size / displayed.marker_size
     sigma = family.position_noise.sigma_at(distance) / math.sqrt(usable)
-    t_est = check_translation(t_true * scale + rng.normal(size=3) * sigma)
+    nx, ny, nz, *yaw_draw = rng.normal(size=4 if family.yields_yaw else 3).tolist()  # = size 3, then 1
+    tx, ty, tz = true_pose.translation.tolist()
+    t_est = check_translation((tx * scale + nx * sigma, ty * scale + ny * sigma, tz * scale + nz * sigma))
 
     if family.yields_yaw:
-        yaw_sigma = family.yaw_noise.sigma_at(distance) if family.yaw_noise else 0.0
-        delta = float(rng.normal()) * yaw_sigma
+        delta = yaw_draw[0] * (family.yaw_noise.sigma_at(distance) if family.yaw_noise else 0.0)
         r_est = true_pose.rotation @ rot_z(-delta)
         yaw_est = relative_yaw(true_pose.rotation) + delta
     else:
         r_est = strip_yaw(true_pose.rotation)
         yaw_est = None
 
-    return PoseEstimate(
-        relative_pose=Pose._unchecked(r_est, t_est, true_pose.from_frame, true_pose.to_frame),
-        yaw=yaw_est,
-        computed_against=believed.config_id,
-        capture_time=capture_time,
-        position_sigma=sigma,
-    )
+    return PoseEstimate._of(
+        Pose._unchecked(r_est, np.array(t_est), true_pose.from_frame, true_pose.to_frame),
+        yaw_est, believed.config_id, capture_time, sigma)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .domain import (Domain, Finite, Fraction, NonNegative, OptionalNonNegative, Positive,
                      check_fields, declared, type_hints)
-from .geometry import CameraIntrinsics, fov_half_angle
+from .geometry import CameraIntrinsics
 from .marker import MarkerFamily, NoiseProfile, Screen
 from .marker_control import SwitchPolicy
 from .timing import DelayModel, DelaySpec
@@ -83,7 +83,7 @@ class ScenarioConfig:
     def __post_init__(self):
         check_fields(self)
         if self.size_rule == "verbatim" and not (
-            2.0 * fov_half_angle(self.intrinsics) * self.policy.scale_fraction < math.pi / 2.0
+            self.intrinsics._full_fov * self.policy.scale_fraction < math.pi / 2.0
         ):
             raise ValueError("the verbatim size rule needs fov * scale_fraction < pi/2")
         if not self.screen.min_dim * self.fill_factor > 0:

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geometry import Pose, check_translation, invert, rot_x, rot_z, vector_norm
+from .geometry import Pose, check_translation, inverse_of, invert, rot_x, rot_z, surely_within, vector_norm
 from .marker import FamilyKind, MarkerConfig
 from .marker_control import apply_update, bootstrap_config, select_marker
 from .pbvs import VelocityCommand, servo_step, with_descent
@@ -80,9 +80,6 @@ class VehicleState:
         state = object.__new__(cls)
         state.r, state.t, state.frames, state.time = r, t, frames, time
         return state
-
-    def _at(self, time: float) -> "VehicleState":
-        return VehicleState._of(self.r, self.t, self.frames, time)
 
     @property
     def pose(self) -> Pose:
@@ -171,7 +168,7 @@ def vehicle_step(state: VehicleState, cmd: VelocityCommand, dt: float) -> Vehicl
     vx, vy, vz, wx, wy, wz = cmd.twist
     p, w = (vx * dt, vy * dt, vz * dt), (wx * dt, wy * dt, wz * dt)
     if not any(p + w):
-        return state._at(state.time + dt)
+        return VehicleState._of(state.r, state.t, state.frames, state.time + dt)
     th2, r, t = _se3_exp(state.r, state.t, p, w, _coefficients)
     return VehicleState._of(r if th2 else state.r, check_translation(t), state.frames,
                             state.time + dt)
@@ -391,7 +388,7 @@ class _Engine:
         self.events: list[EventRecord] = []
         self.stamp_audit: list[tuple] = []
         self.dropouts = self.window_dropouts = self.family_switches = 0
-        self.max_detect_dist: float | None = None
+        self.max_detect_dist = 0.0  # reported as None when nothing was detected
 
         self.status = "running"
         self.queue = EventQueue()
@@ -414,15 +411,17 @@ class _Engine:
         the run ended there. A state is stamped with its instant itself, which
         ``start.time + dt`` can miss by an ulp."""
         start = self.state
-        if time != start.time:
-            self.state = vehicle_step(start, self.cmd, time - start.time)._at(time)
+        if time != start.time:  # vehicle_step returns a new state, restamped here in place
+            self.state = vehicle_step(start, self.cmd, time - start.time)
+            self.state.time = time
         if self._outcome(self.state) is None:
             return False
         lo, hi = start.time, time
         if self._outcome(start) is not None:
             self.state, hi = start, lo
         while lo < (mid := 0.5 * (lo + hi)) < hi:  # lo is short of the end, hi at or past it
-            probe = vehicle_step(start, self.cmd, mid - start.time)._at(mid)
+            probe = vehicle_step(start, self.cmd, mid - start.time)
+            probe.time = mid
             if self._outcome(probe) is None:
                 lo = mid
             else:
@@ -437,8 +436,8 @@ class _Engine:
     # -- event handlers ----------------------------------------------------
 
     def _on_grab(self, now: float, k: int):
-        rt = np.array(self.state.r).reshape(3, 3).T  # invert(state.pose), marker -> camera
-        true_rel = Pose._unchecked(rt, -rt @ np.array(self.state.t), *self.state.frames[::-1])
+        rt, cam = inverse_of(np.array(self.state.r).reshape(3, 3), np.array(self.state.t))
+        true_rel = Pose._unchecked(rt, cam, *self.state.frames[::-1])  # invert(state.pose)
         transport = self.cfg.delays.video.sample(self.rng) + self.cfg.delays.pose.sample(self.rng)
         self.queue.push(now + transport, "pose-ready", (now, true_rel, self.displayed))
         # on the frame grid, as rows are on theirs, so that coinciding instants are equal
@@ -451,13 +450,14 @@ class _Engine:
             self.dropouts += 1
             self.window_dropouts += self.protocol.window_of(capture_time) is not None
             return (f"no-detection:{result.reason}", *_NO_NOTE[1:])
-        self.max_detect_dist = max(self.max_detect_dist or 0.0, vector_norm(true_rel.translation))
+        if not surely_within(true_rel.translation.tolist(), self.max_detect_dist):
+            self.max_detect_dist = max(self.max_detect_dist, vector_norm(true_rel.translation))
         shown = displayed_at_capture.config_id
         stamp = self.protocol.stamp(capture_time)
         self.stamp_audit.append((capture_time, shown, result.computed_against, stamp.reason))
         if not stamp.valid:
-            cam = invert(result.relative_pose).translation.tolist()
-            return ("detected", stamp.reason, *cam, result.yaw)
+            cam = inverse_of(result.relative_pose.rotation, result.relative_pose.translation)[1]
+            return ("detected", stamp.reason, *cam.tolist(), result.yaw)
 
         cfg = self.cfg
         cam, linear, angular = servo_step(result, self.desired, cfg.gain, cfg.max_linear_speed,
@@ -547,7 +547,7 @@ class _Engine:
             window_dropout_count=self.window_dropouts,
             marker_update_count=sum(e.kind == "command" for e in self.events),
             family_switch_count=self.family_switches,
-            max_detection_distance=self.max_detect_dist,
+            max_detection_distance=self.max_detect_dist if self.stamp_audit else None,
             config=cfg,
             scheme_effective=self.protocol.scheme,
         )

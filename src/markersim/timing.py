@@ -233,10 +233,13 @@ def wait_window(timeline: UpdateTimeline, scheme: str) -> tuple[float, float]:
     raise ValueError(f"unknown timing scheme '{scheme}'")
 
 
+_OK, _IN_WINDOW = ValidityStamp("ok"), ValidityStamp("within_wait_window")
+
+
 def stamp_validity(in_window: bool) -> ValidityStamp:
     """Stamp one estimate: distrusted exactly when its capture falls inside
-    an update's wait window."""
-    return ValidityStamp("within_wait_window" if in_window else "ok")
+    an update's wait window. Stamps are immutable, so each verdict is one shared instance."""
+    return _IN_WINDOW if in_window else _OK
 
 
 def update_complete_time(timeline: UpdateTimeline, scheme: str) -> float:

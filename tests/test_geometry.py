@@ -241,6 +241,17 @@ class TestFov:
         k = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480, 1 / 30)
         assert fov_half_angle(k) == pytest.approx(0.44751997515716985, abs=1e-12)
 
+    def test_full_fov_is_worked_out_once_per_instance(self):
+        """``select_marker`` reads the full field of view each frame from the
+        intrinsics, which work it out at construction; equality ignores it."""
+        k = CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480, 1 / 30)
+        wide = CameraIntrinsics(250.0, 250.0, 320.0, 240.0, 640, 480, 1 / 30)
+        for intrinsics in (k, wide):
+            assert intrinsics._full_fov == 2.0 * fov_half_angle(intrinsics)
+        assert wide._full_fov > k._full_fov
+        assert k == CameraIntrinsics(500.0, 500.0, 320.0, 240.0, 640, 480, 1 / 30)
+        assert "_full_fov" not in repr(k)
+
     @pytest.mark.parametrize(
         "kwargs",
         [

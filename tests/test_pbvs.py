@@ -13,9 +13,11 @@ from markersim.geometry import (
     rot_z,
     vector_norm,
 )
+import markersim.pbvs as pbvs
 from markersim.pbvs import (
     FeatureVector,
     VelocityCommand,
+    _clamped,
     clamp_command,
     compute_error,
     control_law,
@@ -265,6 +267,94 @@ class TestServoStep:
         with pytest.raises(ValueError, match="expects frame 'screen'") as engine:
             servo_step(estimate, desired, 1.0, 1.0, 1.0)
         assert str(engine.value) == str(api.value)
+
+
+def numpy_clamped(v, limit):
+    """``_clamped`` as it reads without the float bound: numpy's norm of every
+    nonzero vector."""
+    n = vector_norm(np.array(v)) if any(v) else 0.0
+    return [x * (limit / n) for x in v] if limit > 0 and n > limit else v
+
+
+def near_limit_cases(rng, n):
+    """(v, limit): random directions scaled to ``limit * (1 + k * eps)``, k in
+    -8..8, and to ``sqrt(1 - 1e-9)`` times that, where the bound's margin
+    starts, over limits spanning the float range."""
+    eps = 2.0**-52
+    for i in range(n):
+        u = rng.normal(size=3)
+        u = u / vector_norm(u)
+        limit = float(rng.choice([1.0, 0.05, 0.3, 1.7, 2.0**40 / 3.0, 1e-140, 1e140]))
+        scale = (1.0 + int(rng.integers(-8, 9)) * eps) * (math.sqrt(1.0 - 1e-9) if i % 2 else 1.0)
+        yield [float(c) * limit * scale for c in u], limit
+
+
+def dot_above_sum_cases(rng, n):
+    """(v, limit): vectors whose numpy ``dot`` rounds two or more ulps above
+    their written-out sum of squares (about 1 in 4,000 on OpenBLAS x86-64;
+    none where the two agree), under limits a few ulps around their
+    ``vector_norm``. A bound with no margin skips clamps there that numpy's
+    norm makes."""
+    found = 0
+    for _ in range(400_000):
+        v = (rng.normal(size=3) * rng.choice([0.3, 1.0, 3.0])).tolist()
+        x, y, z = v
+        if float(np.array(v).dot(np.array(v))) <= math.nextafter(x * x + y * y + z * z, math.inf):
+            continue
+        found += 1
+        limit = vector_norm(np.array(v))
+        for _ in range(4):
+            limit = math.nextafter(limit, 0.0)
+        for _ in range(9):
+            yield v, limit
+            limit = math.nextafter(limit, math.inf)
+        if found == n:
+            return
+
+
+class TestClampedBound:
+    """``_clamped`` returns ``v`` with no numpy norm when ``surely_within`` shows
+    it is within the limit; every result keeps the numpy form's bits."""
+
+    def test_near_the_limit(self):
+        for v, limit in near_limit_cases(np.random.default_rng(22), 5000):
+            assert bits(*_clamped(v, limit)) == bits(*numpy_clamped(v, limit))
+
+    def test_where_numpy_dot_rounds_above_the_sum(self):
+        for v, limit in dot_above_sum_cases(np.random.default_rng(23), 20):
+            assert bits(*_clamped(v, limit)) == bits(*numpy_clamped(v, limit))
+
+    @pytest.mark.parametrize("v, limit", [
+        ([0.0, 0.0, 0.0], 1.0), ([-0.0, 0.0, -0.0], 1.0),
+        ([math.nan, 0.1, 0.1], 1.0), ([0.1, math.inf, 0.1], 1.0), ([-math.inf, 0.0, 0.0], 1.0),
+        ([0.1, 0.2, 0.3], math.inf), ([0.1, 0.2, math.nan], math.inf),
+        ([1e200, 1e200, 0.0], 1e300),  # the squares overflow, and so does numpy's dot
+        ([1e-200, 1e-200, 1e-200], 1.0),  # the squares underflow to 0
+        ([1e-200, 1e-200, 1e-200], 1e-250),
+        ([1e-160, 0.0, 0.0], 1e-160),  # a subnormal square and bound
+        ([3e-155, 4e-155, 0.0], 4e-155),
+    ])
+    def test_non_finite_zero_and_extreme_components(self, v, limit):
+        with np.errstate(over="ignore"):  # numpy's dot warns when it overflows
+            assert bits(*_clamped(v, limit)) == bits(*numpy_clamped(v, limit))
+
+    @pytest.mark.parametrize("v, limit", [
+        ([1e200, 1e200, 0.0], 1e300), ([1e-200, 1e-200, 1e-200], 1.0),
+        ([1e-160, 1e-160, 0.0], 1.0), ([0.5, 0.5, 0.5], 1e160), ([math.nan, 0.0, 0.0], 1.0),
+    ])
+    def test_overflow_underflow_and_nan_take_the_numpy_norm(self, v, limit, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pbvs, "vector_norm", lambda a: calls.append(a) or vector_norm(a))
+        with np.errstate(over="ignore"):
+            assert bits(*_clamped(v, limit)) == bits(*numpy_clamped(v, limit))
+        assert len(calls) == 1
+
+    def test_well_inside_skips_the_numpy_norm(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(pbvs, "vector_norm", lambda a: calls.append(a) or vector_norm(a))
+        v = [0.3, -0.4, 0.5]
+        assert _clamped(v, 1.0) is v and _clamped(v, math.nextafter(vector_norm(np.array(v)), 0.0)) != v
+        assert len(calls) == 1  # only the second, within 1e-9 of the limit
 
 
 class TestClosedLoop:

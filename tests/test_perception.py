@@ -251,6 +251,21 @@ class TestEstimates:
                                  np.random.default_rng(0), capture_time=12.5)
         assert est.capture_time == 12.5
 
+    def test_one_draw_of_four_is_a_draw_of_three_then_one(self):
+        """A yaw-yielding family draws its position and yaw noise in one call:
+        numpy gives a draw of 4 the bits of a draw of 3 and then 1, and leaves
+        the generator where those two leave it."""
+        for seed in range(500):
+            one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert one.normal(size=4).tobytes() == np.append(two.normal(size=3), two.normal()).tobytes()
+            assert one.uniform() == two.uniform()
+
+    def test_the_detector_form_is_the_public_form(self):
+        fields = (overhead_pose(1.0), 0.25, 3, 1.5, 0.01)
+        made, public = PoseEstimate._of(*fields), PoseEstimate(*fields)
+        assert type(made) is PoseEstimate and vars(made) == vars(public)
+        assert repr(made) == repr(public)
+
 
 # Scalar reference: the detector evaluated one cell at a time, each corner
 # through geometry.project_point.
@@ -403,8 +418,9 @@ class TestBoardProjectionMatchesScalarReference:
             noisy.position_noise.sigma_at(float(np.linalg.norm(pose.translation)))
             / math.sqrt(usable)
         )
-        assert np.array_equal(got.relative_pose.translation, expected.relative_pose.translation)
-        assert np.array_equal(got.relative_pose.rotation, expected.relative_pose.rotation)
+        # bytes, not values, so that a 0.0 in place of a -0.0 fails too
+        assert got.relative_pose.translation.tobytes() == expected.relative_pose.translation.tobytes()
+        assert got.relative_pose.rotation.tobytes() == expected.relative_pose.rotation.tobytes()
         assert got.yaw == expected.yaw
         assert got.computed_against == expected.computed_against == 3
         assert got.capture_time == expected.capture_time
@@ -491,3 +507,17 @@ class TestPlainMarkerGateMatchesBoardProjection:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert_plain_gate_is_the_board_gate(pose, 2e-300, K)
+
+    def test_overflowing_pixels_are_out_of_view_without_warnings(self):
+        # As above, 5e5 m to the side: the pixels overflow to inf, and the
+        # edges between them are inf - inf.
+        permutation = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+        pose = Pose(permutation, [5e5, 0.0, 2e-300], "marker", "camera")
+        far = single(replace(FULL, max_detection_range=1e6), 2e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            visible, _ = _project_board(pose, far._corners, K)
+            assert not visible.any()
+            assert _usable_cells(pose, far, K, 20.0) == NoDetection("out-of-view")
+            assert simulate_detection(pose, far, detector_for(far),
+                                      np.random.default_rng(0)) == NoDetection("out-of-view")

@@ -863,6 +863,29 @@ def test_engine_made_rotations_stay_proper(config):
     assert max(defects) <= 1e-9
 
 
+def test_max_detection_distance_is_the_largest_detected_distance():
+    """The engine takes no norm of a detection that the float bound shows is no
+    farther than the farthest so far, and still reports the largest
+    ``vector_norm`` over every detection. The run starts below its goal
+    height, so the distance rises and the largest moves many times."""
+    config = replace(nominal_landing_scenario(), initial_position=(0.02, -0.01, 0.5),
+                     desired_height=1.0)
+    distances = []
+
+    def recorded(true_rel, *args, **kwargs):
+        result = perception.simulate_detection(true_rel, *args, **kwargs)
+        if not isinstance(result, NoDetection):
+            distances.append(geometry.vector_norm(true_rel.translation))
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulation, "simulate_detection", recorded)
+        trace = run_scenario(config)
+    assert len(distances) == trace.detection_count > 50
+    assert trace.max_detection_distance == max(distances)
+    assert len(set(np.maximum.accumulate(distances).tolist())) > 20
+
+
 @given(st.one_of(valid_configs(), landing_configs()), st.floats(0.001, 1.0), st.floats(0.001, 1.0))
 @settings(max_examples=40, deadline=None, derandomize=True)
 def test_the_run_does_not_depend_on_the_tick(config, tick_a, tick_b):

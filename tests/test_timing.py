@@ -234,6 +234,10 @@ class TestStamping:
         for reason in ("ok", "within_wait_window"):
             assert ValidityStamp(reason).valid == (reason == "ok")
 
+    def test_each_verdict_is_one_shared_stamp(self):
+        for in_window, reason in ((False, "ok"), (True, "within_wait_window")):
+            assert stamp_validity(in_window) is stamp_validity(in_window) == ValidityStamp(reason)
+
     def test_a_pose_out_at_the_switch_is_in_the_window(self):
         """A safe update on delays that are multiples of 2^-7 s, and an
         old-marker frame grabbed before the command at exactly ``switch -
