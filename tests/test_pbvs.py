@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from markersim import pbvs
 from markersim.geometry import (
     AngleAxis,
     Pose,
@@ -13,7 +14,6 @@ from markersim.geometry import (
     rot_z,
     vector_norm,
 )
-import markersim.pbvs as pbvs
 from markersim.pbvs import (
     FeatureVector,
     VelocityCommand,
