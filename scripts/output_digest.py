@@ -23,6 +23,10 @@ that moves one kind of output shows which. The groups:
   marker, under a 1.0 m goal, so the detection distance rises; the goal
   heading is 2.5 rad and the limits are 0.2 m/s and 0.05 rad/s, so both
   speed clamps bind;
+- ``block-edge``: hovers at a 1 ms tick of 0.255, 0.2555, 1.023, 1.0235 and
+  2.0475 s, whose 256, 257, 1024, 1025 and 2049 rows end at or just past a
+  multiple of 256; in the three that end off the tick grid the end row is
+  the only row past that multiple;
 - ``<workload>``: inputs 0-4 of each benchmark workload at seed 1, built
   from the overrides in ``perfbench/workloads.py``.
 
@@ -97,6 +101,8 @@ def groups():
                      desired_yaw=2.5, max_linear_speed=0.2, max_angular_speed=0.05,
                      batch_offset_radius=0.1)
     yield "rising-clamped", [randomized_initial_conditions(rising, 2026, i) for i in range(10)]
+    hover = replace(nominal, landing_error_threshold=None, tick_step=0.001)
+    yield "block-edge", [replace(hover, duration=d) for d in (0.255, 0.2555, 1.023, 1.0235, 2.0475)]
     base = json.loads(workloads.LANDING.read_text(encoding="utf-8"))
     extra = {"board-heavy": workloads.BOARD_HEAVY, "trace-hover": workloads.TRACE_HOVER}
     for name in workloads.WORKLOADS:
