@@ -92,10 +92,14 @@ def _law(rotation: np.ndarray, translation: np.ndarray, axis, angle: float, gain
 
 
 def _clamped(v, limit: float):
-    """The floats ``v`` scaled down to norm ``limit`` when longer, else ``v`` (at once if ``surely_within``)."""
+    """The floats ``v`` scaled down to norm ``limit`` when longer, else ``v`` (at once if ``surely_within``).
+    Finite floats whose squares under- or overflow, as they do in numpy's ``dot``, take ``hypot``'s norm."""
     if surely_within(v, limit):
         return v
-    n = vector_norm(np.array(v)) if any(v) else 0.0
+    x, y, z = v
+    s = x * x + y * y + z * z
+    extreme = s < 1e-300 or s == math.inf and all(map(math.isfinite, v))  # zero included
+    n = math.hypot(x, y, z) if extreme else vector_norm(np.array(v))
     return [x * (limit / n) for x in v] if limit > 0 and n > limit else v
 
 

@@ -20,7 +20,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from operator import is_
+from operator import add
 from typing import NamedTuple
 
 import numpy as np
@@ -151,8 +151,10 @@ def _coefficient_columns(th2: np.ndarray):
     # each form sees only the angles it is kept for, so neither can overflow or divide by 0
     small = th2 < _SMALL_ANGLE**2
     big = np.where(small, 1.0, th2)
-    th = np.sqrt(big)
-    closed = _closed_form(big, th, _each(math.sin, th), _each(math.sin, 0.5 * th))
+    th, wide = np.sqrt(big), ~small
+    sines = np.zeros((2, th.size))  # only the wide rows need them: np.where drops the rest
+    sines[:, wide] = _each(math.sin, th[wide]), _each(math.sin, 0.5 * th[wide])
+    closed = _closed_form(big, th, *sines)
     taylor = _taylor(np.where(small, th2, 0.0))
     return [np.where(small, near, far) for near, far in zip(taylor, closed)]
 
@@ -249,7 +251,7 @@ class TraceRows(Sequence):
     last entry, with the last notes since the previous row.
 
     Rows are sampled ``_BLOCK`` at a time, in passes of ``vehicle_step``'s
-    formula on numpy columns (``_rows``).
+    formula on numpy columns (``_blocks``).
     """
 
     def __init__(self, log: list[_Entry], tick_step: float):
@@ -283,18 +285,22 @@ class TraceRows(Sequence):
                 [_NO_NOTE] + [e.note for e in noted])
 
     def _rows(self, ks: np.ndarray):
-        """The rows ``ks``, sampled ``_BLOCK`` at a time. Rows come in runs that
-        share an entry and a note, and a run shares its cells past ``distance``."""
-        log, notes, key = self._log, self._stacked[2], None
+        for floats, cells in self._blocks(ks):
+            yield from map(TickRecord._make, map(add, zip(*floats), cells))
+
+    def _blocks(self, ks: np.ndarray):
+        """The rows ``ks``, ``_BLOCK`` at a time: each block's six float columns (time to distance)
+        and each row's cells past ``distance``, one tuple per run of rows sharing an entry and a note."""
+        log, notes = self._log, self._stacked[2]
         for start in range(0, len(ks), _BLOCK):
-            for row, i, k in self._sample(ks[start:start + _BLOCK]):
-                if (i, k) != key:
-                    key, rest = (i, k), _cells(log[i], notes[k])
-                yield TickRecord._make(row + rest)
+            floats, entries, noted = self._sample(ks[start:start + _BLOCK])
+            keys = list(zip(entries, noted))
+            cells = {key: _cells(log[key[0]], notes[key[1]]) for key in set(keys)}
+            yield floats, [cells[key] for key in keys]
 
     def _sample(self, ks: np.ndarray):
-        """Rows ``ks`` in one pass: their six sampled floats (time to
-        distance), entry index and note index."""
+        """Rows ``ks`` in one pass: their six sampled float columns (time to
+        distance) as lists, entry indices and note indices."""
         log, tick = self._log, self._tick
         times, note_times, _ = self._stacked
         end_row = ks == self._ticks
@@ -306,8 +312,7 @@ class TraceRows(Sequence):
         # each row's note: the last strictly before it, if at or after the previous row
         n = np.where(end_row, len(note_times) - 1, note_times.searchsorted(t) - 1)
         n = np.where(note_times[n] >= (ks - 1) * tick, n, 0)
-        floats = zip(t.tolist(), x.tolist(), y.tolist(), z.tolist(), yaw.tolist(), distance.tolist())
-        return zip(floats, j.tolist(), n.tolist())
+        return [c.tolist() for c in (t, x, y, z, yaw, distance)], j.tolist(), n.tolist()
 
 
 def _sampled_columns(log: list[_Entry], j: np.ndarray, dt: np.ndarray):
@@ -596,21 +601,37 @@ class _Line:
     write = staticmethod(str)
 
 
+def _reprs(column) -> list:
+    """``repr`` of each float, as csv writes it; an equal nonzero float takes the
+    previous string again (0.0 and -0.0 are equal yet print apart, and NaN equals nothing)."""
+    texts, last, text = [], None, ""
+    for v in column:
+        if v != last or not v:
+            last, text = v, repr(v)
+        texts.append(text)
+    return texts
+
+
+def _row_blocks(rows):
+    """Any row sequence cut into ``TraceRows._blocks``' blocks."""
+    for block in (rows[start:start + _BLOCK] for start in range(0, len(rows), _BLOCK)):
+        yield list(zip(*(row[:6] for row in block))), [row[6:] for row in block]
+
+
 def trace_to_csv(trace: SimTrace, path):
-    """Write the per-tick records; one row per record, columns as documented
-    in the README (SI units, radians). The bytes are ``csv.writer``'s: the six
-    sampled floats (time to distance) of a row are their ``repr``, as csv
-    writes a float, and the other cells are formatted by csv itself, once per
-    run of rows that hold the same cell objects, as a ``TraceRows`` run does."""
-    line = csv.writer(_Line).writerow
+    """Write the per-tick records, one row per record, columns as documented in
+    the README (SI units, radians), one write per block of rows. The bytes are
+    ``csv.writer``'s: a sampled float (time to distance) is its ``repr``, as csv
+    writes a float, and csv formats the other cells once per cells tuple that
+    rows share, as a ``TraceRows`` run does."""
+    rows, line = trace.records, csv.writer(_Line).writerow
+    blocks = rows._blocks(np.arange(len(rows))) if isinstance(rows, TraceRows) else _row_blocks(rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(line(TRACE_COLUMNS))
-        last = cells = None
-        for row in trace.records:
-            rest = row[6:]
-            if last is None or not all(map(is_, rest, last)):  # objects, not values: 0.0 == -0.0
-                last, cells = rest, line(rest)
-            fh.write(f"{row[0]!r},{row[1]!r},{row[2]!r},{row[3]!r},{row[4]!r},{row[5]!r},{cells}")
+        for floats, cells in blocks:
+            shared = {id(rest): rest for rest in cells}  # each cells tuple of the block once
+            texts = {key: line(rest) for key, rest in shared.items()}
+            fh.write("".join(map(",".join, zip(*map(_reprs, floats), (texts[id(c)] for c in cells)))))
 
 
 def events_to_csv(trace: SimTrace, path):

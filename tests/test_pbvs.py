@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -314,7 +315,8 @@ def dot_above_sum_cases(rng, n):
 
 class TestClampedBound:
     """``_clamped`` returns ``v`` with no numpy norm when ``surely_within`` shows
-    it is within the limit; every result keeps the numpy form's bits."""
+    it is within the limit; every result keeps the numpy form's bits, but where
+    the squares of finite floats under- or overflow and numpy's norm with them."""
 
     def test_near_the_limit(self):
         for v, limit in near_limit_cases(np.random.default_rng(22), 5000):
@@ -328,26 +330,52 @@ class TestClampedBound:
         ([0.0, 0.0, 0.0], 1.0), ([-0.0, 0.0, -0.0], 1.0),
         ([math.nan, 0.1, 0.1], 1.0), ([0.1, math.inf, 0.1], 1.0), ([-math.inf, 0.0, 0.0], 1.0),
         ([0.1, 0.2, 0.3], math.inf), ([0.1, 0.2, math.nan], math.inf),
-        ([1e200, 1e200, 0.0], 1e300),  # the squares overflow, and so does numpy's dot
-        ([1e-200, 1e-200, 1e-200], 1.0),  # the squares underflow to 0
-        ([1e-200, 1e-200, 1e-200], 1e-250),
+        ([1e200, math.inf, 0.0], 1e300),  # the squares overflow beside an infinite component
+        ([1e-200, 1e-200, 1e-200], 1.0),  # the squares underflow to 0, within the limit
+        ([1e-200, 1e-200, math.nan], 1e-250),  # the squares underflow beside a NaN
         ([1e-160, 0.0, 0.0], 1e-160),  # a subnormal square and bound
-        ([3e-155, 4e-155, 0.0], 4e-155),
+        ([3e-155, 4e-155, -math.inf], 4e-155),
     ])
     def test_non_finite_zero_and_extreme_components(self, v, limit):
         with np.errstate(over="ignore"):  # numpy's dot warns when it overflows
             assert bits(*_clamped(v, limit)) == bits(*numpy_clamped(v, limit))
 
     @pytest.mark.parametrize("v, limit", [
-        ([1e200, 1e200, 0.0], 1e300), ([1e-200, 1e-200, 1e-200], 1.0),
-        ([1e-160, 1e-160, 0.0], 1.0), ([0.5, 0.5, 0.5], 1e160), ([math.nan, 0.0, 0.0], 1.0),
+        ([1e200, math.inf, 0.0], 1e300), ([1e-200, 1e-200, math.nan], 1.0),
+        ([1e-160, 1e-160, -math.inf], 1.0), ([0.5, 0.5, 0.5], 1e160), ([math.nan, 0.0, 0.0], 1.0),
     ])
     def test_overflow_underflow_and_nan_take_the_numpy_norm(self, v, limit, monkeypatch):
+        """Squares that over- or underflow beside a component that is not finite,
+        a NaN, and a limit whose square overflows."""
         calls = []
         monkeypatch.setattr(pbvs, "vector_norm", lambda a: calls.append(a) or vector_norm(a))
         with np.errstate(over="ignore"):
             assert bits(*_clamped(v, limit)) == bits(*numpy_clamped(v, limit))
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("v, limit", [
+        ([1e200, 1e200, 0.0], 1e300),  # numpy's norm overflows and clamps to zero
+        ([1e154, -1e154, 1e154], 1e154),  # the sum of squares just past the largest float
+        ([3e-200, 4e-200, 0.0], 1e-250),  # numpy's norm underflows to 0 and skips the clamp
+        ([1e-200, 1e-200, 1e-200], 1e-250),
+        ([1e-200, 1e-200, 1e-200], 1.0),
+        ([1e-160, 1e-160, 0.0], 1.0),  # subnormal squares
+        ([3e-155, 4e-155, 0.0], 4e-155),  # numpy's norm is 3 ulps long here
+    ])
+    def test_finite_squares_out_of_range_take_hypot(self, v, limit, monkeypatch):
+        """``v`` itself when its exact norm is within the limit, else its
+        direction at the limit's norm within a few ulps; no numpy norm."""
+        calls = []
+        monkeypatch.setattr(pbvs, "vector_norm", lambda a: calls.append(a) or vector_norm(a))
+        out = _clamped(v, limit)
+        if sum(Fraction(c) ** 2 for c in v) <= Fraction(limit) ** 2:
+            assert out is v
+        else:
+            scales = [Fraction(o) / Fraction(c) for o, c in zip(out, v) if c]
+            assert all(o == 0.0 for o, c in zip(out, v) if not c)
+            assert max(scales) / min(scales) - 1 <= 4 * 2.0**-52
+            assert abs(sum(Fraction(o) ** 2 for o in out) / Fraction(limit) ** 2 - 1) <= 8 * 2.0**-52
+        assert not calls
 
     def test_well_inside_skips_the_numpy_norm(self, monkeypatch):
         calls = []

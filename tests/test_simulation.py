@@ -1016,14 +1016,52 @@ def hand_built_trace():
     return replace(TestMetrics().make_trace(), records=[first, second, third, fourth, fourth])
 
 
-@pytest.mark.parametrize("case", ["nominal", "hover", "hand-built"])
+def hand_built_repeats_trace():
+    """A trace whose float columns repeat equal nonzero values, run 0.0, -0.0
+    and 0.0 in one column, and hold nan and inf."""
+    first = hand_built_trace().records[0]._replace(x=0.25, y=0.0, z=math.inf, yaw=math.nan,
+                                                   distance=math.inf)
+    rows = [first, first._replace(time=0.5, y=-0.0), first._replace(time=1.0),
+            first._replace(time=1.5, z=-math.inf, distance=math.nan)]
+    return replace(TestMetrics().make_trace(), records=rows)
+
+
+def block_edge_trace(rows, ticks, **changes):
+    """A hover at a 1 ms tick for ``ticks`` ticks, which gives ``rows`` rows."""
+    config = replace(nominal_landing_scenario(), landing_error_threshold=None, tick_step=0.001,
+                     duration=ticks * 0.001, **changes)
+    trace = run_scenario(config)
+    assert len(trace.records) == rows
+    return trace
+
+
+def run_across_edge_trace():
+    """A hover at 2.5 frames a second, whose rows share their cells from the
+    first pose result to the next grab, across the first block edge."""
+    block = simulation._BLOCK
+    slow = replace(nominal_landing_scenario().intrinsics, frame_period=0.4)
+    trace = block_edge_trace(2 * block + 1, 2 * block, intrinsics=slow)
+    assert len({row[6:] for row in trace.records[block - 2:block + 2]}) == 1
+    return trace
+
+
+@pytest.mark.parametrize("case", ["nominal", "hover", "hand-built", "hover-block",
+                                  "hover-block+1", "hover-2block+1", "end-row-alone",
+                                  "run-across-edge", "hand-built-repeats"])
 def test_trace_csv_is_csv_writers_bytes(case, tmp_path):
-    nominal = nominal_landing_scenario()
+    nominal, block = nominal_landing_scenario(), simulation._BLOCK
     trace = {
         "nominal": lambda: run_scenario(nominal),
         "hover": lambda: run_scenario(replace(nominal, landing_error_threshold=None,
                                               duration=1.0, tick_step=0.001)),
         "hand-built": hand_built_trace,
+        "hover-block": lambda: block_edge_trace(block, block - 1),
+        "hover-block+1": lambda: block_edge_trace(block + 1, block),
+        "hover-2block+1": lambda: block_edge_trace(2 * block + 1, 2 * block),
+        # the end row alone in the last block
+        "end-row-alone": lambda: block_edge_trace(block + 1, block - 0.5),
+        "run-across-edge": run_across_edge_trace,
+        "hand-built-repeats": hand_built_repeats_trace,
     }[case]()
     trace_to_csv(trace, tmp_path / "trace.csv")
     with open(tmp_path / "reference.csv", "w", newline="", encoding="utf-8") as fh:
