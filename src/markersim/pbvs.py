@@ -98,7 +98,7 @@ def _clamped(v, limit: float):
         return v
     x, y, z = v
     s = x * x + y * y + z * z
-    extreme = s < 1e-300 or s == math.inf and all(map(math.isfinite, v))  # zero included
+    extreme = s < 1e-300 or s == math.inf and all(map(math.isfinite, v))  # a zero v too: norm 0
     n = math.hypot(x, y, z) if extreme else vector_norm(np.array(v))
     return [x * (limit / n) for x in v] if limit > 0 and n > limit else v
 
