@@ -57,11 +57,12 @@ def vector_norm(v: np.ndarray) -> float:
     return math.sqrt(float(v.dot(v)))
 
 
-def surely_within(v, limit: float) -> bool:
-    """Whether the floats ``v`` are no longer than ``limit`` by ``vector_norm``, by a written-out
-    sum of squares under ``limit² (1 - 1e-9)`` (README, "The servo"); False if it does not show it."""
+def surely_within(v, limit: float) -> bool | None:
+    """Whether the floats ``v`` are within ``limit`` by ``vector_norm``, by a written-out sum of squares
+    under ``limit² (1 - 1e-9)`` (README, "The servo"); False if unshown, None if NaN, inf or < 1e-300."""
     x, y, z = v
-    return 1e-300 <= x * x + y * y + z * z < limit * limit * (1.0 - 1e-9) < math.inf
+    s = x * x + y * y + z * z
+    return s < limit * limit * (1.0 - 1e-9) < math.inf if 1e-300 <= s < math.inf else None
 
 
 def check_rotation(r: np.ndarray, tol: float = ORTHONORMAL_TOL) -> np.ndarray:

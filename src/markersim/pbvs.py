@@ -92,15 +92,22 @@ def _law(rotation: np.ndarray, translation: np.ndarray, axis, angle: float, gain
 
 
 def _clamped(v, limit: float):
-    """The floats ``v`` scaled down to norm ``limit`` when longer, else ``v`` (at once if ``surely_within``).
-    Finite floats whose squares under- or overflow, as they do in numpy's ``dot``, take ``hypot``'s norm."""
-    if surely_within(v, limit):
+    """The floats ``v`` scaled down to norm ``limit`` when longer, else ``v`` (at once if ``surely_within``)."""
+    within = surely_within(v, limit)
+    if within or not any(v):
         return v
-    x, y, z = v
-    s = x * x + y * y + z * z
-    extreme = s < 1e-300 or s == math.inf and all(map(math.isfinite, v))  # a zero v too: norm 0
-    n = math.hypot(x, y, z) if extreme else vector_norm(np.array(v))
+    if within is None and all(map(math.isfinite, v)):  # squares over- or underflow, as in numpy's dot
+        return _rescaled(v, limit)
+    n = vector_norm(np.array(v))
     return [x * (limit / n) for x in v] if limit > 0 and n > limit else v
+
+
+def _rescaled(v, limit: float):
+    """``_clamped`` on ``hypot`` of ``v`` over a power of two and on ``frexp``'s parts: all in range."""
+    e = math.frexp(max(map(abs, v)))[1]
+    (m, k), (ml, el) = math.frexp(math.hypot(*(math.ldexp(x, -e) for x in v))), math.frexp(limit)
+    return ([math.ldexp(mx * ml / m, ex + el - k - e) for mx, ex in map(math.frexp, v)]
+            if 0 < limit < math.inf and (k + e, m) > (el, ml) else v)
 
 
 def servo_step(estimate: PoseEstimate, desired: Pose, gain: float, max_linear: float,

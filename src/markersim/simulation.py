@@ -151,10 +151,8 @@ def _coefficient_columns(th2: np.ndarray):
     # each form sees only the angles it is kept for, so neither can overflow or divide by 0
     small = th2 < _SMALL_ANGLE**2
     big = np.where(small, 1.0, th2)
-    th, wide = np.sqrt(big), ~small
-    sines = np.zeros((2, th.size))  # only the wide rows need them: np.where drops the rest
-    sines[:, wide] = _each(math.sin, th[wide]), _each(math.sin, 0.5 * th[wide])
-    closed = _closed_form(big, th, *sines)
+    th = np.sqrt(big)
+    closed = _closed_form(big, th, _each(math.sin, th), _each(math.sin, 0.5 * th))
     taylor = _taylor(np.where(small, th2, 0.0))
     return [np.where(small, near, far) for near, far in zip(taylor, closed)]
 
@@ -289,18 +287,16 @@ class TraceRows(Sequence):
             yield from map(TickRecord._make, map(add, zip(*floats), cells))
 
     def _blocks(self, ks: np.ndarray):
-        """The rows ``ks``, ``_BLOCK`` at a time: each block's six float columns (time to distance)
-        and each row's cells past ``distance``, one tuple per run of rows sharing an entry and a note."""
+        """Rows ``ks``, ``_BLOCK`` at a time: six float columns, and per row its run's cells tuple."""
         log, notes = self._log, self._stacked[2]
         for start in range(0, len(ks), _BLOCK):
-            floats, entries, noted = self._sample(ks[start:start + _BLOCK])
-            keys = list(zip(entries, noted))
+            floats, keys = self._sample(ks[start:start + _BLOCK])
             cells = {key: _cells(log[key[0]], notes[key[1]]) for key in set(keys)}
             yield floats, [cells[key] for key in keys]
 
     def _sample(self, ks: np.ndarray):
         """Rows ``ks`` in one pass: their six sampled float columns (time to
-        distance) as lists, entry indices and note indices."""
+        distance) as lists, and their (entry index, note index) pairs."""
         log, tick = self._log, self._tick
         times, note_times, _ = self._stacked
         end_row = ks == self._ticks
@@ -312,7 +308,7 @@ class TraceRows(Sequence):
         # each row's note: the last strictly before it, if at or after the previous row
         n = np.where(end_row, len(note_times) - 1, note_times.searchsorted(t) - 1)
         n = np.where(note_times[n] >= (ks - 1) * tick, n, 0)
-        return [c.tolist() for c in (t, x, y, z, yaw, distance)], j.tolist(), n.tolist()
+        return [c.tolist() for c in (t, x, y, z, yaw, distance)], list(zip(j.tolist(), n.tolist()))
 
 
 def _sampled_columns(log: list[_Entry], j: np.ndarray, dt: np.ndarray):
@@ -601,13 +597,12 @@ class _Line:
     write = staticmethod(str)
 
 
-def _reprs(column) -> list:
-    """``repr`` of each float, as csv writes it; an equal nonzero float takes the
-    previous string again (0.0 and -0.0 are equal yet print apart, and NaN equals nothing)."""
-    texts, last, text = [], None, ""
+def _texts(column) -> list:
+    """``str`` of each value, as csv writes it; an equal nonzero value of the same type reuses the last."""
+    texts, last, kind, text = [], None, None, ""
     for v in column:
-        if v != last or not v:
-            last, text = v, repr(v)
+        if v != last or not v or type(v) is not kind:  # 0.0 == -0.0 and 1 == 1.0 print apart
+            last, kind, text = v, type(v), str(v)
         texts.append(text)
     return texts
 
@@ -619,19 +614,16 @@ def _row_blocks(rows):
 
 
 def trace_to_csv(trace: SimTrace, path):
-    """Write the per-tick records, one row per record, columns as documented in
-    the README (SI units, radians), one write per block of rows. The bytes are
-    ``csv.writer``'s: a sampled float (time to distance) is its ``repr``, as csv
-    writes a float, and csv formats the other cells once per cells tuple that
-    rows share, as a ``TraceRows`` run does."""
+    """Write the per-tick records, one row per record and one write per block, columns as documented
+    in the README (SI units, radians). The bytes are ``csv.writer``'s: the floats (time to distance)
+    by ``_texts``, the other cells by csv once per cells tuple that rows share, as a run does."""
     rows, line = trace.records, csv.writer(_Line).writerow
     blocks = rows._blocks(np.arange(len(rows))) if isinstance(rows, TraceRows) else _row_blocks(rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(line(TRACE_COLUMNS))
         for floats, cells in blocks:
-            shared = {id(rest): rest for rest in cells}  # each cells tuple of the block once
-            texts = {key: line(rest) for key, rest in shared.items()}
-            fh.write("".join(map(",".join, zip(*map(_reprs, floats), (texts[id(c)] for c in cells)))))
+            texts = {key: line(rest) for key, rest in {id(c): c for c in cells}.items()}  # once per tuple
+            fh.write("".join(map(",".join, zip(*map(_texts, floats), (texts[id(c)] for c in cells)))))
 
 
 def events_to_csv(trace: SimTrace, path):

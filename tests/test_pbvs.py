@@ -361,6 +361,10 @@ class TestClampedBound:
         ([1e-200, 1e-200, 1e-200], 1.0),
         ([1e-160, 1e-160, 0.0], 1.0),  # subnormal squares
         ([3e-155, 4e-155, 0.0], 4e-155),  # numpy's norm is 3 ulps long here
+        ([1e200, 1e200, 0.0], 1e-130),  # limit / norm underflows to 0
+        ([1e200, 1e200, 0.0], 1e-120),  # limit / norm is subnormal
+        ([1e300, 1e-200, 0.0], 1e200),  # x / norm underflows to 0 for the second component
+        ([1.5e308, 1.5e308, 0.0], 1.0),  # the norm itself is past the largest float
     ])
     def test_finite_squares_out_of_range_take_hypot(self, v, limit, monkeypatch):
         """``v`` itself when its exact norm is within the limit, else its

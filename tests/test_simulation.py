@@ -1018,11 +1018,13 @@ def hand_built_trace():
 
 def hand_built_repeats_trace():
     """A trace whose float columns repeat equal nonzero values, run 0.0, -0.0
-    and 0.0 in one column, and hold nan and inf."""
+    and 0.0 in one column, hold nan and inf, and follow np.float64(2.0) with 2.0
+    and 1 with 1.0, equal values that print apart."""
     first = hand_built_trace().records[0]._replace(x=0.25, y=0.0, z=math.inf, yaw=math.nan,
                                                    distance=math.inf)
     rows = [first, first._replace(time=0.5, y=-0.0), first._replace(time=1.0),
-            first._replace(time=1.5, z=-math.inf, distance=math.nan)]
+            first._replace(time=1.5, z=-math.inf, distance=math.nan),
+            first._replace(time=np.float64(2.0), x=1), first._replace(time=2.0, x=1.0)]
     return replace(TestMetrics().make_trace(), records=rows)
 
 
