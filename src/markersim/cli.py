@@ -96,15 +96,16 @@ def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
     return replace(config, **overrides) if overrides else config
 
 
-def _load_config(args) -> ScenarioConfig:
+def _load_config(args) -> tuple[ScenarioConfig, Path]:
+    """The command's config, then its ``--out`` directory, created once the config holds."""
     config = load_scenario(args.config) if args.config else nominal_landing_scenario()
-    return _apply_overrides(config, args)
+    config, out = _apply_overrides(config, args), Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return config, out
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    config, out = _load_config(args)
     trace = run_scenario(config)
     trace_to_csv(trace, out / "trace.csv")
     events_to_csv(trace, out / "events.csv")
@@ -118,9 +119,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    config = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    config, out = _load_config(args)
     summaries = run_batch(config, args.n, config.seed, jobs=args.jobs)
     agg = _write_batch(summaries, out, seed_base=config.seed)
     mean_err = agg["mean_lateral_error"]
@@ -141,9 +140,7 @@ _COMPARE_FIELDS = (
 
 
 def _cmd_compare(args) -> int:
-    config = _load_config(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    config, out = _load_config(args)
     aggregates = {}
     for strategy in STRATEGIES:
         # identical seeds across strategies: differences are attributable to

@@ -35,20 +35,9 @@ def rot_z(angle: float) -> np.ndarray:
 
 
 def _rotation_defect(r: np.ndarray) -> float:
-    # Scalar arithmetic on the nine entries: numpy's per-call overhead
-    # dominates on 3x3s, and every Pose runs this check.
-    (a, b, c), (d, e, f), (g, h, i) = r.tolist()
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    return max(
-        abs(det - 1.0),
-        # entries of r.T @ r - I; the matrix is symmetric
-        abs(a * a + d * d + g * g - 1.0),
-        abs(b * b + e * e + h * h - 1.0),
-        abs(c * c + f * f + i * i - 1.0),
-        abs(a * b + d * e + g * h),
-        abs(a * c + d * f + g * i),
-        abs(b * c + e * f + h * i),
-    )
+    """The largest entry of ``|RᵀR - I|`` or ``|det R - 1|``; not finite if an entry is NaN or inf."""
+    with np.errstate(all="ignore"):
+        return max(np.abs(r.T @ r - np.eye(3)).max(), abs(np.linalg.det(r) - 1.0))
 
 
 def vector_norm(v: np.ndarray) -> float:
@@ -65,15 +54,15 @@ def surely_within(v, limit: float) -> bool | None:
     return s < limit * limit * (1.0 - 1e-9) < math.inf if 1e-300 <= s < math.inf else None
 
 
-def check_rotation(r: np.ndarray, tol: float = ORTHONORMAL_TOL) -> np.ndarray:
+def check_rotation(r: np.ndarray) -> np.ndarray:
     """Return ``r`` as a float array, raising if it is not a proper rotation."""
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got shape {r.shape}")
     defect = _rotation_defect(r)
-    if not defect <= tol:  # a NaN defect fails too
+    if not defect <= ORTHONORMAL_TOL:  # a NaN defect fails too
         raise ValueError(
-            f"matrix is not a proper rotation (orthonormality defect {defect:.3e} > {tol:.1e})"
+            f"matrix is not a proper rotation (orthonormality defect {defect:.3e} > {ORTHONORMAL_TOL:.1e})"
         )
     return r
 
@@ -91,8 +80,8 @@ class Pose:
 
     ``p_to = rotation @ p_from + translation``; ``translation`` is therefore
     the position of the ``from_frame`` origin expressed in ``to_frame``.
-    Construction checks both fields. ``invert``, ``compose``, ``vehicle_step``
-    and ``simulate_detection`` derive their results exactly and skip the check.
+    Construction checks both fields. ``invert``, ``compose``, ``simulate_detection``,
+    ``VehicleState.pose`` and the engine derive their Poses exactly and skip the check.
     """
 
     rotation: np.ndarray

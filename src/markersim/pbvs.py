@@ -156,7 +156,7 @@ def clamp_command(
 ) -> VelocityCommand:
     """Scale the twist down to the configured speed limits, keeping direction."""
     linear, angular = _clamped(cmd.twist[:3], max_linear), _clamped(cmd.twist[3:], max_angular)
-    return cmd if (*linear, *angular) == cmd.twist else VelocityCommand(linear, angular)
+    return VelocityCommand(linear, angular)
 
 
 def with_descent(cmd: VelocityCommand, descent_rate: float) -> VelocityCommand:

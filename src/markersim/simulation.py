@@ -331,7 +331,7 @@ def _sampled_columns(log: list[_Entry], j: np.ndarray, dt: np.ndarray):
 class SimTrace:
     """Full record of one run, its configuration and the counts the metrics use.
 
-    ``records`` is the row sequence (a ``TraceRows`` for an engine run).
+    ``records`` is the run's row sequence.
     ``stamps`` is the validity audit: one (capture_time, displayed_config_id,
     computed_against_id, reason) tuple per successful detection. A hole is a
     stamp whose ids differ but whose reason is ``ok``: a corrupted frame no
@@ -339,7 +339,7 @@ class SimTrace:
     that gave no detection.
     """
 
-    records: Sequence
+    records: TraceRows
     events: list
     stamps: list
     status: str  # landed | timeout | diverged
@@ -598,30 +598,23 @@ class _Line:
 
 
 def _texts(column) -> list:
-    """``str`` of each value, as csv writes it; an equal nonzero value of the same type reuses the last."""
-    texts, last, kind, text = [], None, None, ""
+    """``str`` of each float, as csv writes it; an equal nonzero value reuses the last."""
+    texts, last, text = [], None, ""
     for v in column:
-        if v != last or not v or type(v) is not kind:  # 0.0 == -0.0 and 1 == 1.0 print apart
-            last, kind, text = v, type(v), str(v)
+        if v != last or not v:  # 0.0 == -0.0 prints apart
+            last, text = v, str(v)
         texts.append(text)
     return texts
 
 
-def _row_blocks(rows):
-    """Any row sequence cut into ``TraceRows._blocks``' blocks."""
-    for block in (rows[start:start + _BLOCK] for start in range(0, len(rows), _BLOCK)):
-        yield list(zip(*(row[:6] for row in block))), [row[6:] for row in block]
-
-
 def trace_to_csv(trace: SimTrace, path):
-    """Write the per-tick records, one row per record and one write per block, columns as documented
-    in the README (SI units, radians). The bytes are ``csv.writer``'s: the floats (time to distance)
-    by ``_texts``, the other cells by csv once per cells tuple that rows share, as a run does."""
+    """Write a run's trace rows, one write per block, columns as documented in the README (SI
+    units, radians). The bytes are ``csv.writer``'s: the floats (time to distance) by ``_texts``,
+    the other cells by csv once per cells tuple that rows share."""
     rows, line = trace.records, csv.writer(_Line).writerow
-    blocks = rows._blocks(np.arange(len(rows))) if isinstance(rows, TraceRows) else _row_blocks(rows)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(line(TRACE_COLUMNS))
-        for floats, cells in blocks:
+        for floats, cells in rows._blocks(np.arange(len(rows))):
             texts = {key: line(rest) for key, rest in {id(c): c for c in cells}.items()}  # once per tuple
             fh.write("".join(map(",".join, zip(*map(_texts, floats), (texts[id(c)] for c in cells)))))
 

@@ -286,6 +286,14 @@ class TestRunCommand:
         code = main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)])
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["run", "batch", "compare"])
+    def test_bad_config_creates_no_output_directory(self, command, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"florb": 1}', encoding="utf-8")
+        out = tmp_path / "new" / "out"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 1
+        assert not (tmp_path / "new").exists()
+
     def test_unknown_key_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"florb": 1}', encoding="utf-8")

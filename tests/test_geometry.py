@@ -95,13 +95,18 @@ class TestPose:
             Pose(bad, np.zeros(3), "a", "b")
 
     def test_defect_matches_matrix_form(self):
-        # Reference: the largest entry of |R^T R - I| or |det R - 1|.
+        # The largest entry of |R^T R - I| or |det R - 1|, worked by hand.
+        shear = np.eye(3)
+        shear[0, 1] = 1e-3  # R^T R holds 1e-3 off the diagonal and 1e-6 on it; det R = 1
+        for r, defect in ((ROT_Z_90, 0.0), (ROT_X_180, 0.0), (np.eye(3) * 1.01, 0.030301),
+                          (np.diag([1.0, 1.0, -1.0]), 2.0), (shear, 1e-3)):
+            assert _rotation_defect(r) == pytest.approx(defect, rel=1e-9, abs=1e-15)
         rng = np.random.default_rng(4)
-        for scale in (0.0, 1e-9, 1e-6, 1e-3, 1.0):
-            for _ in range(200):
-                r = random_rotation(rng) + scale * rng.normal(size=(3, 3))
-                ref = max(np.abs(r.T @ r - np.eye(3)).max(), abs(np.linalg.det(r) - 1.0))
-                assert _rotation_defect(r) == pytest.approx(ref, rel=1e-9, abs=1e-15)
+        assert max(_rotation_defect(random_rotation(rng)) for _ in range(200)) < 1e-14
+        for value in (math.nan, math.inf, -math.inf):
+            bad = np.eye(3)
+            bad[1, 2] = value
+            assert not math.isfinite(_rotation_defect(bad))  # with no RuntimeWarning
 
     def test_vector_norm_equals_numpy(self):
         rng = np.random.default_rng(5)

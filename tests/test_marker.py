@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from markersim.marker import (
@@ -49,22 +49,31 @@ class TestSizeRule:
         with pytest.raises(ValueError):
             optimal_marker_size(0.5, 2.0, 0.5, "exact")
 
+    @staticmethod
+    def assert_increasing(size, lo, hi):
+        """``size(lo) <= size(hi)`` for ``lo < hi``, strictly once they differ by more than 1e-9
+        relative: ``2·h·tan(·)`` rounds inputs one ulp apart to one size."""
+        assert size(lo) <= size(hi)
+        if hi - lo > 1e-9 * hi:
+            assert size(lo) < size(hi)
+
     @given(
         fov=st.floats(0.05, 1.5),
         h1=st.floats(0.01, 20.0),
         h2=st.floats(0.01, 20.0),
         s=st.floats(0.01, 1.0),
     )
+    # heights one ulp apart, both sized 0.01863192919888145 (verbatim at s 0.5, consistent at 1.0)
+    @example(fov=1.5, h1=0.01, h2=0.010000000000000002, s=0.5)
+    @example(fov=1.5, h1=0.01, h2=0.010000000000000002, s=1.0)
     @settings(max_examples=100, deadline=None)
     def test_strictly_increasing_in_distance(self, fov, h1, h2, s):
         if h1 == h2:
             return
         lo, hi = sorted((h1, h2))
-        assert optimal_marker_size(fov, lo, s) < optimal_marker_size(fov, hi, s)
-        if fov * max(h1, h2) < math.pi / 2:  # keep clear of the verbatim pole
-            assert optimal_marker_size(fov, lo, s, "verbatim") < optimal_marker_size(
-                fov, hi, s, "verbatim"
-            )
+        # the verbatim pole is at fov * s = pi/2, beyond fov <= 1.5 and s <= 1
+        for rule in ("consistent", "verbatim"):
+            self.assert_increasing(lambda h: optimal_marker_size(fov, h, s, rule), lo, hi)
 
     @given(
         fov=st.floats(0.05, 1.5),
@@ -77,7 +86,7 @@ class TestSizeRule:
         if s1 == s2:
             return
         lo, hi = sorted((s1, s2))
-        assert optimal_marker_size(fov, h, lo) < optimal_marker_size(fov, h, hi)
+        self.assert_increasing(lambda s: optimal_marker_size(fov, h, s), lo, hi)
 
 
 class TestFreedomAngle:

@@ -1001,31 +1001,60 @@ def test_the_log_holds_no_marker_config():
     }
 
 
+def hand_entry(time, xyz, twist, note=None, landing=False):
+    """A log entry of the vehicle at ``xyz`` with yaw -0.0 under ``twist``, showing config 0."""
+    r = (1.0, 0.0, 0.0, -0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+    state = VehicleState._of(r, xyz, ("camera", "marker"), time)
+    return simulation._Entry(time, state, VelocityCommand._of(twist), (0, "long,range", 0.15, 1), 0,
+                             landing, note)
+
+
 def hand_built_trace():
-    """A trace whose rows hold None, -0.0 next to 0.0, and strings csv must quote."""
-    first = simulation.TickRecord(
-        time=0.0, x=-0.0, y=0.0, z=2.5, yaw=-0.0, distance=2.5,
-        detect_status='no-detection:"odd"', validity="", est_x=None, est_y=None, est_z=None,
-        est_yaw=None, displayed_config=0, displayed_family="long,range",
-        displayed_size=0.15, displayed_cells=1, believed_config=0,
-        cmd_vx=-0.0, cmd_vy=0.0, cmd_vz=0.0, cmd_wz=-0.0, landing=0,
-    )
-    second = first._replace(time=0.5)  # the same cell objects as the first row
-    third = second._replace(time=1.0, cmd_vx=0.0)  # its cells equal the second's, yet print apart
-    fourth = third._replace(time=1.5, est_x=1e-300, landing=1)
-    return replace(TestMetrics().make_trace(), records=[first, second, third, fourth, fourth])
+    """A trace over a hand-made log at a 0.5 s tick whose rows hold None,
+    strings csv must quote, -0.0 next to 0.0, rows that share one cells tuple
+    and rows whose cells are equal yet print apart."""
+    still, still_signed = (0.0,) * 6, (-0.0, 0.0, 0.0, 0.0, 0.0, -0.0)
+    log = [hand_entry(0.0, (-0.0, 0.0, 2.5), still_signed),
+           hand_entry(0.25, (-0.0, -0.0, 2.5), still_signed,
+                      ('no-detection:"odd"', "", None, None, None, None)),
+           hand_entry(1.75, (0.0, 0.0, 2.5), still),
+           hand_entry(2.25, (0.0, 0.0, 2.5), still, ("detected", "ok", 1e-300, -0.0, 2.5, None), True)]
+    records = simulation.TraceRows(log, 0.5)
+    floats, cells = next(records._blocks(np.arange(len(records))))
+    assert floats[0] == [0.0, 0.5, 1.0, 1.5, 2.0, 2.25]
+    assert [str(y) for y in floats[2]] == ["0.0", "-0.0", "-0.0", "-0.0", "0.0", "0.0"]
+    assert cells[2] is cells[3]  # the rows at 1.0 and 1.5 share their entry and have no note
+    assert cells[3] == cells[4] and str(cells[3]) != str(cells[4])  # -0.0 then 0.0 in cmd_vx
+    return replace(TestMetrics().make_trace(), records=records)
 
 
 def hand_built_repeats_trace():
-    """A trace whose float columns repeat equal nonzero values, run 0.0, -0.0
-    and 0.0 in one column, hold nan and inf, and follow np.float64(2.0) with 2.0
-    and 1 with 1.0, equal values that print apart."""
-    first = hand_built_trace().records[0]._replace(x=0.25, y=0.0, z=math.inf, yaw=math.nan,
-                                                   distance=math.inf)
-    rows = [first, first._replace(time=0.5, y=-0.0), first._replace(time=1.0),
-            first._replace(time=1.5, z=-math.inf, distance=math.nan),
-            first._replace(time=np.float64(2.0), x=1), first._replace(time=2.0, x=1.0)]
-    return replace(TestMetrics().make_trace(), records=rows)
+    """A trace over a hand-made log at a 0.5 s tick whose float columns repeat
+    equal nonzero values and run 0.0, -0.0 and 0.0 in one column, then move."""
+    still = (0.0,) * 6
+    log = [hand_entry(0.0, (0.25, 0.0, 2.5), still), hand_entry(0.25, (0.25, -0.0, 2.5), still),
+           hand_entry(0.75, (0.25, 0.0, 2.5), still),
+           hand_entry(1.25, (0.25, 0.0, 2.5), (0.0, 0.0, 0.5, 0.0, 0.0, 0.0)),
+           hand_entry(1.75, (0.25, 0.0, 2.75), still)]
+    records = simulation.TraceRows(log, 0.5)
+    floats, _ = next(records._blocks(np.arange(len(records))))
+    assert floats[1] == [0.25] * 5 and floats[3] == [2.5, 2.5, 2.5, 2.625, 2.75]
+    assert [str(y) for y in floats[2]] == ["0.0", "-0.0", "0.0", "0.0", "0.0"]
+    return replace(TestMetrics().make_trace(), records=records)
+
+
+@pytest.mark.parametrize("column, objects", [
+    pytest.param([0.25, 0.25, 2.5, 2.5, 0.25], 3, id="equal-nonzero"),
+    pytest.param([0.0, -0.0, 0.0], 3, id="signed-zeros"),
+    pytest.param([math.nan, math.nan, math.inf, math.inf, -math.inf, -math.inf], 4, id="non-finite"),
+    # trace-hover's yaw column: 23,910 of 24,006 rows repeat the row above
+    pytest.param([0.7853981633974483] * 6, 1, id="one-value"),
+    pytest.param([np.float64(2.0), 2.0, np.float64(2.0)], 1, id="numpy-floats"),
+])
+def test_texts_are_str_of_each_value(column, objects):
+    texts = simulation._texts(column)
+    assert texts == list(map(str, column))
+    assert len(set(map(id, texts))) == objects  # one string per run of equal nonzero values
 
 
 def block_edge_trace(rows, ticks, **changes):
